@@ -6,6 +6,13 @@
 
 #include "util/check.h"
 
+// Every pinned result (golden traces, perfbench digests, bit-identity
+// across --threads and --shards) relies on IEEE semantics; -ffast-math
+// reassociates and drops them.
+#ifdef __FAST_MATH__
+#error "manetcap must not be built with -ffast-math"
+#endif
+
 namespace manetcap::geom {
 
 /// A free 2-D vector (displacement); not wrapped.

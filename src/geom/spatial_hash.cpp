@@ -33,31 +33,39 @@ SpatialHash::SpatialHash(double radius_hint, std::size_t expected_points) {
 }
 
 void SpatialHash::build(const std::vector<Point>& points) {
-  points_ = points;
-  incremental_ = false;
   MANETCAP_CHECK_MSG(points.size() < kNone,
                      "SpatialHash: point count must stay below the id "
                      "sentinel (2^32-1)");
+  incremental_ = false;
+  const std::size_t n = points.size();
+  n_ = n;
   const std::size_t nb = static_cast<std::size_t>(g_ * g_);
   bucket_start_.assign(nb + 1, 0);
-  ids_.resize(points_.size());
+  ids_.resize(n);
+  cells_.resize(n);
 
-  // Counting sort into buckets (CSR). The sort is stable, so ids within a
-  // bucket come out ascending — the iteration order to_incremental() and
-  // every query preserves.
-  for (const Point& p : points_) ++bucket_start_[bucket_of(p) + 1];
-  for (std::size_t b = 0; b < nb; ++b) bucket_start_[b + 1] += bucket_start_[b];
-  std::vector<std::uint32_t> cursor(bucket_start_.begin(),
-                                    bucket_start_.end() - 1);
-  for (std::uint32_t id = 0; id < points_.size(); ++id)
-    ids_[cursor[bucket_of(points_[id])]++] = id;
+  // Counting sort into buckets (CSR). Inclusive prefix sums leave
+  // bucket_start_[b] at the end of bucket b; filling each run back to
+  // front with descending ids leaves it at the start again, with ids
+  // ascending within a bucket — the iteration order to_incremental() and
+  // every query preserves — and needs no cursor array.
+  for (const Point& p : points) ++bucket_start_[bucket_of(p)];
+  for (std::size_t b = 1; b < nb; ++b) bucket_start_[b] += bucket_start_[b - 1];
+  bucket_start_[nb] = static_cast<std::uint32_t>(n);
+  for (std::size_t id = n; id-- > 0;) {
+    const std::uint32_t k = --bucket_start_[bucket_of(points[id])];
+    ids_[k] = static_cast<std::uint32_t>(id);
+    cells_[k] = points[id];
+  }
 }
 
 void SpatialHash::to_incremental() {
   const std::size_t nb = static_cast<std::size_t>(g_ * g_);
+  points_.resize(n_);
+  for (std::size_t k = 0; k < n_; ++k) points_[ids_[k]] = cells_[k];
   head_.assign(nb, kNone);
-  next_.assign(points_.size(), kNone);
-  prev_.assign(points_.size(), kNone);
+  next_.assign(n_, kNone);
+  prev_.assign(n_, kNone);
   // Walk each CSR run back-to-front, pushing to the bucket head: the chain
   // then iterates in exactly the CSR (ascending-id) order.
   for (std::size_t b = 0; b < nb; ++b) {
@@ -73,7 +81,7 @@ void SpatialHash::to_incremental() {
 }
 
 void SpatialHash::move(std::uint32_t id, Point old_pos, Point new_pos) {
-  MANETCAP_DCHECK(id < points_.size());
+  MANETCAP_DCHECK(id < n_);
   if (!incremental_) to_incremental();
   const std::size_t ob = bucket_of(old_pos);
   MANETCAP_DCHECK(ob == bucket_of(points_[id]));
@@ -114,7 +122,7 @@ std::size_t SpatialHash::count_in_disk(Point center, double r) const {
 }
 
 std::uint32_t SpatialHash::nearest(Point center, std::uint32_t exclude) const {
-  if (points_.empty()) return kNone;
+  if (n_ == 0) return kNone;
   double best2 = std::numeric_limits<double>::infinity();
   std::uint32_t best = kNone;
   const std::int64_t cx = bucket_coord(center.x);
@@ -122,13 +130,15 @@ std::uint32_t SpatialHash::nearest(Point center, std::uint32_t exclude) const {
   const double side = 1.0 / static_cast<double>(g_);
 
   auto visit = [&](std::int64_t bx, std::int64_t by) {
-    visit_bucket(bx, by, [&](std::uint32_t id) {
-      if (id == exclude) return;
-      const double d2 = torus_dist2(center, points_[id]);
+    const std::size_t b = static_cast<std::size_t>(wrap(by) * g_ + wrap(bx));
+    visit_bucket(b, [&](std::uint32_t id, const Point& p) {
+      if (id == exclude) return true;
+      const double d2 = torus_dist2(center, p);
       if (d2 < best2) {
         best2 = d2;
         best = id;
       }
+      return true;
     });
   };
 

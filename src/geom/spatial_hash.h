@@ -19,13 +19,16 @@ namespace manetcap::geom {
 /// buckets. Queries never allocate.
 ///
 /// Two maintenance modes share one query path:
-///  * snapshot — build() counting-sorts every point into a CSR layout
-///    (contiguous per-bucket id runs, ids ascending within a bucket);
-///  * incremental — the first move() converts the CSR runs into intrusive
-///    per-bucket lists; further moves rebucket only ids that crossed a
-///    bucket boundary (O(1) each). Under restricted mobility most nodes
-///    stay inside their bucket per slot, so a full per-slot rebuild
-///    becomes a handful of pointer swaps.
+///  * snapshot — build() counting-sorts every point into a cell list: a
+///    CSR layout of contiguous per-bucket id runs (ids ascending within a
+///    bucket) with a bucket-ordered copy of the points beside it, so a
+///    bucket scan streams memory instead of gathering points by id. It
+///    keeps no by-id copy. The slot simulator rebuilds this snapshot every
+///    slot.
+///  * incremental (deprecated; see docs/API.md) — the first move()
+///    scatters the cell list into a by-id point array and converts the CSR
+///    runs into intrusive per-bucket lists; further moves rebucket only
+///    ids that crossed a bucket boundary (O(1) each).
 /// The conversion reproduces the CSR iteration order exactly; after a
 /// move, within-bucket order for moved ids is unspecified (disk queries
 /// whose callers are order-insensitive — S* lone-neighbor counting — are
@@ -50,63 +53,85 @@ class SpatialHash {
   explicit SpatialHash(double radius_hint, std::size_t expected_points = 0);
 
   /// Replaces the indexed set with `points`; ids are indices into `points`.
-  /// Always (re)enters snapshot mode.
+  /// Always (re)enters snapshot mode. Allocates only when the point count
+  /// grows, so a per-slot rebuild at fixed n is allocation-free.
   void build(const std::vector<Point>& points);
 
   /// Re-registers point `id` at `new_pos`. `old_pos` must be the position
   /// the id is currently indexed under (checked in debug builds); the id is
   /// rebucketed only when the two positions fall in different buckets.
   /// The first call converts the index to incremental mode.
+  /// Deprecated for one release (docs/API.md): rebuild the snapshot with
+  /// build() instead.
   void move(std::uint32_t id, Point old_pos, Point new_pos);
 
-  std::size_t size() const { return points_.size(); }
-  const Point& point(std::uint32_t id) const { return points_[id]; }
+  std::size_t size() const { return n_; }
 
   /// Invokes `fn(id)` for every indexed point with torus_dist(X, point) ≤ r.
   /// The center itself is reported if indexed (callers filter self-matches).
-  /// Template form: the callback inlines, so the hot S* scan pays no
-  /// std::function dispatch per candidate.
+  /// Template form: the callback inlines, so hot loops (scheme A's μ pass,
+  /// the SINR near field) pay no std::function dispatch per candidate.
   template <class Fn>
   void visit_disk(Point center, double r, Fn&& fn) const {
-    MANETCAP_CHECK(r >= 0.0);
     const double r2 = r * r;
-    // Covering bucket range (torus-wrapped). A center in bucket cx has
-    // x < (cx+1)/g, so every point within distance r lies within
-    // ceil(r·g) buckets per axis — the covering needs no extra ring.
-    // When r spans the whole torus the range collapses to a full sweep.
-    // int64 throughout: r·g_ can exceed INT_MAX for a silly radius, and
-    // the flat index by·g+bx must never narrow.
-    std::int64_t span = r * static_cast<double>(g_) >=
-                                static_cast<double>(g_ / 2 + 1)
-                            ? g_ / 2 + 1
-                            : static_cast<std::int64_t>(
-                                  std::ceil(r * static_cast<double>(g_)));
+    const Cover cov = cover(r);
     const std::int64_t cx = bucket_coord(center.x);
     const std::int64_t cy = bucket_coord(center.y);
-
-    // Avoid visiting a wrapped bucket twice when 2·span+1 ≥ g_.
-    const std::int64_t lo = -span,
-                       hi = (2 * span + 1 >= g_) ? g_ - 1 - span : span;
-    auto wrap = [this](std::int64_t v) {
-      std::int64_t w = v % g_;
-      return w < 0 ? w + g_ : w;
-    };
-    for (std::int64_t dy = lo; dy <= hi; ++dy) {
+    for (std::int64_t dy = cov.lo; dy <= cov.hi; ++dy) {
       const std::size_t row = static_cast<std::size_t>(wrap(cy + dy) * g_);
-      for (std::int64_t dx = lo; dx <= hi; ++dx) {
-        const std::size_t b = row + static_cast<std::size_t>(wrap(cx + dx));
-        if (incremental_) {
-          for (std::uint32_t id = head_[b]; id != kNone; id = next_[id])
-            if (torus_dist2(center, points_[id]) <= r2) fn(id);
-        } else {
-          for (std::uint32_t k = bucket_start_[b]; k < bucket_start_[b + 1];
-               ++k) {
-            const std::uint32_t id = ids_[k];
-            if (torus_dist2(center, points_[id]) <= r2) fn(id);
-          }
-        }
-      }
+      for (std::int64_t dx = cov.lo; dx <= cov.hi; ++dx)
+        visit_bucket(row + static_cast<std::size_t>(wrap(cx + dx)),
+                     [&](std::uint32_t id, const Point& p) {
+                       if (torus_dist2(center, p) <= r2) fn(id);
+                       return true;
+                     });
     }
+  }
+
+  /// Per-axis bucket offsets [lo, hi] around a bucket whose torus-wrapped
+  /// union covers every point within distance r of any point in that
+  /// bucket, each bucket exactly once. A point in bucket cx has
+  /// x < (cx+1)/g, so every point within r lies within ceil(r·g) buckets
+  /// per axis — the covering needs no extra ring. When 2·span+1 reaches g
+  /// the range shrinks to exactly g offsets, so a wrapped bucket is never
+  /// visited twice; an offset plus a bucket coordinate then always lies in
+  /// [−g, 2g), the domain wrap() folds with one compare.
+  struct Cover {
+    std::int64_t lo;
+    std::int64_t hi;
+  };
+  Cover cover(double r) const {
+    MANETCAP_CHECK(r >= 0.0);
+    // int64 throughout: r·g_ can exceed INT_MAX for a silly radius, and
+    // the flat index by·g+bx must never narrow.
+    const std::int64_t span =
+        r * static_cast<double>(g_) >= static_cast<double>(g_ / 2 + 1)
+            ? g_ / 2 + 1
+            : static_cast<std::int64_t>(std::ceil(r * static_cast<double>(g_)));
+    return {-span, 2 * span + 1 >= g_ ? g_ - 1 - span : span};
+  }
+
+  /// Folds a bucket coordinate in [−g, 2g) (a coordinate plus a cover()
+  /// offset) onto the torus grid [0, g).
+  std::int64_t wrap(std::int64_t v) const {
+    return v < 0 ? v + g_ : (v >= g_ ? v - g_ : v);
+  }
+
+  /// Cell-list walk of one bucket (flat index row·g + column): invokes
+  /// fn(id, point) for every point indexed there, in iteration order,
+  /// until fn returns false. Returns false iff fn stopped the walk.
+  /// Snapshot mode streams the bucket-ordered point copy; incremental mode
+  /// walks the bucket's chain.
+  template <class Fn>
+  bool visit_bucket(std::size_t b, Fn&& fn) const {
+    if (incremental_) {
+      for (std::uint32_t id = head_[b]; id != kNone; id = next_[id])
+        if (!fn(id, points_[id])) return false;
+    } else {
+      for (std::uint32_t k = bucket_start_[b]; k < bucket_start_[b + 1]; ++k)
+        if (!fn(ids_[k], cells_[k])) return false;
+    }
+    return true;
   }
 
   /// Type-erased convenience wrapper over visit_disk.
@@ -124,45 +149,15 @@ class SpatialHash {
   /// empty or every indexed point is excluded.
   std::uint32_t nearest(Point center, std::uint32_t exclude = kNone) const;
 
-  /// Buckets per side — the stripe-sharded slot loop partitions work by
-  /// contiguous ranges of bucket rows.
+  /// Buckets per side — the stripe-sharded S* scan partitions work by
+  /// contiguous ranges of bucket rows (flat indices [row·g, (row+1)·g)),
+  /// which partition the indexed set.
   std::int64_t grid_side() const { return g_; }
-
-  /// Bucket row (y band) a point falls in: [0, grid_side()).
-  std::int64_t bucket_row_of(Point p) const { return bucket_coord(p.y); }
-
-  /// Invokes `fn(id)` exactly once for every point indexed in bucket rows
-  /// [row_begin, row_end). Rows partition the indexed set, so visiting
-  /// disjoint row ranges from different threads touches disjoint ids;
-  /// within-bucket order is the usual (unspecified after moves) one.
-  template <class Fn>
-  void visit_rows(std::int64_t row_begin, std::int64_t row_end,
-                  Fn&& fn) const {
-    MANETCAP_DCHECK(0 <= row_begin && row_begin <= row_end && row_end <= g_);
-    const std::size_t b0 = static_cast<std::size_t>(row_begin * g_);
-    const std::size_t b1 = static_cast<std::size_t>(row_end * g_);
-    for (std::size_t b = b0; b < b1; ++b) {
-      if (incremental_) {
-        for (std::uint32_t id = head_[b]; id != kNone; id = next_[id]) fn(id);
-      } else {
-        for (std::uint32_t k = bucket_start_[b]; k < bucket_start_[b + 1];
-             ++k)
-          fn(ids_[k]);
-      }
-    }
-  }
-
-  /// Forces the conversion move() would perform on first use. The sharded
-  /// move phase calls this up front so the (serial) conversion never runs
-  /// inside a parallel section.
-  void ensure_incremental() {
-    if (!incremental_) to_incremental();
-  }
 
   /// Resident bytes of the index (point copies + bucket structures) — one
   /// term of the simulator's bytes-per-MS scale metric.
   std::uint64_t memory_bytes() const {
-    return points_.capacity() * sizeof(Point) +
+    return (points_.capacity() + cells_.capacity()) * sizeof(Point) +
            (bucket_start_.capacity() + ids_.capacity() + head_.capacity() +
             next_.capacity() + prev_.capacity()) *
                sizeof(std::uint32_t);
@@ -173,41 +168,28 @@ class SpatialHash {
     const std::int64_t c = static_cast<std::int64_t>(v * static_cast<double>(g_));
     return std::min(std::max<std::int64_t>(c, 0), g_ - 1);
   }
-  std::size_t bucket_index(std::int64_t bx, std::int64_t by) const {
-    auto m = [this](std::int64_t v) {
-      std::int64_t w = v % g_;
-      return w < 0 ? w + g_ : w;
-    };
-    return static_cast<std::size_t>(m(by) * g_ + m(bx));
-  }
   std::size_t bucket_of(Point p) const {
-    return bucket_index(bucket_coord(p.x), bucket_coord(p.y));
+    return static_cast<std::size_t>(bucket_coord(p.y) * g_ +
+                                    bucket_coord(p.x));
   }
 
-  /// Converts the CSR runs into per-bucket intrusive lists, preserving the
-  /// within-bucket iteration order at the moment of conversion.
+  /// Scatters the cell list into points_ and converts the CSR runs into
+  /// per-bucket intrusive lists, preserving the within-bucket iteration
+  /// order at the moment of conversion.
   void to_incremental();
 
-  template <class Fn>
-  void visit_bucket(std::int64_t bx, std::int64_t by, Fn&& fn) const {
-    const std::size_t b = bucket_index(bx, by);
-    if (incremental_) {
-      for (std::uint32_t id = head_[b]; id != kNone; id = next_[id]) fn(id);
-    } else {
-      for (std::uint32_t k = bucket_start_[b]; k < bucket_start_[b + 1]; ++k)
-        fn(ids_[k]);
-    }
-  }
-
-  std::int64_t g_;  // buckets per side, in [1, kMaxGridSide]
-  std::vector<Point> points_;
-  // Snapshot (CSR) layout: bucket_start_[b]..bucket_start_[b+1] indexes
-  // into ids_. Valid while !incremental_.
+  std::int64_t g_;     // buckets per side, in [1, kMaxGridSide]
+  std::size_t n_ = 0;  // indexed points
+  // Snapshot (CSR) cell list: bucket_start_[b]..bucket_start_[b+1] indexes
+  // into ids_ and cells_, where cells_[k] is the position of id ids_[k].
+  // Valid while !incremental_.
   std::vector<std::uint32_t> bucket_start_;
   std::vector<std::uint32_t> ids_;
-  // Incremental layout: doubly-linked id list per bucket. Valid while
-  // incremental_.
+  std::vector<Point> cells_;
+  // Incremental layout: positions by id and a doubly-linked id list per
+  // bucket. Valid while incremental_.
   bool incremental_ = false;
+  std::vector<Point> points_;        // by id
   std::vector<std::uint32_t> head_;  // per bucket, kNone-terminated
   std::vector<std::uint32_t> next_;  // per id
   std::vector<std::uint32_t> prev_;  // per id

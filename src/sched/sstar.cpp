@@ -43,28 +43,8 @@ const std::vector<phy::Transmission>& SStarScheduler::feasible_pairs_into(
     const std::vector<geom::Point>& pos, const geom::SpatialHash& hash,
     Workspace& ws, ScheduleStats* stats,
     const phy::InterferenceModel* model) const {
-  const std::size_t n = pos.size();
-  const double guard = (1.0 + delta_) * range_for(n);
-
-  // lone[i] = j when the guard disk around i contains exactly the single
-  // other node j; kNone when it contains zero or ≥2 others. (The value for
-  // the ≥2 case is whatever candidate was seen last — the count filter
-  // makes it irrelevant, so the scan never needs an early exit.)
-  // This id-order loop is the serial hot path; lone_scan_rows produces the
-  // identical table in bucket-row order for the sharded one.
-  begin_scan(n, ws);
-  std::uint32_t* lone = ws.lone.data();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    std::uint32_t found = kNoneId;
-    int count = 0;
-    hash.visit_disk(pos[i], guard, [&](std::uint32_t id) {
-      if (id == i) return;
-      ++count;
-      found = id;
-    });
-    if (count == 1) lone[i] = found;
-  }
-
+  begin_scan(pos.size(), ws);
+  lone_scan_rows(pos, hash, ws, 0, hash.grid_side());
   return extract_pairs(pos, ws, stats, model);
 }
 
@@ -76,18 +56,48 @@ void SStarScheduler::lone_scan_rows(const std::vector<geom::Point>& pos,
                                     const geom::SpatialHash& hash,
                                     Workspace& ws, std::int64_t row_begin,
                                     std::int64_t row_end) const {
+  MANETCAP_CHECK_MSG(hash.size() == pos.size() && ws.lone.size() == pos.size(),
+                     "S* lone scan: hash, positions and lone table must "
+                     "cover the same population");
   const double guard = (1.0 + delta_) * range_for(pos.size());
+  const double guard2 = guard * guard;
+  const std::int64_t g = hash.grid_side();
+  const geom::SpatialHash::Cover cov = hash.cover(guard);
   std::uint32_t* lone = ws.lone.data();
-  hash.visit_rows(row_begin, row_end, [&](std::uint32_t i) {
-    std::uint32_t found = kNoneId;
-    int count = 0;
-    hash.visit_disk(pos[i], guard, [&](std::uint32_t id) {
-      if (id == i) return;
-      ++count;
-      found = id;
-    });
-    if (count == 1) lone[i] = found;
-  });
+
+  // lone[i] = j when the guard disk around i holds exactly one other node
+  // j, and stays kNone when it holds none or ≥ 2. A second neighbour
+  // settles the ≥ 2 case, so each census stops there; the node's own
+  // bucket goes first because it is the likeliest to hold both. The entry
+  // is a pure function of the positions, so any bucket order and any row
+  // partition give the same table.
+  for (std::int64_t by = row_begin; by < row_end; ++by) {
+    for (std::int64_t bx = 0; bx < g; ++bx) {
+      const std::size_t own = static_cast<std::size_t>(by * g + bx);
+      hash.visit_bucket(own, [&](std::uint32_t i, const geom::Point& p) {
+        std::uint32_t found = kNoneId;
+        int count = 0;
+        auto census = [&](std::uint32_t j, const geom::Point& q) {
+          if (j != i && geom::torus_dist2(p, q) <= guard2) {
+            found = j;
+            if (++count == 2) return false;
+          }
+          return true;
+        };
+        if (hash.visit_bucket(own, census)) {
+          for (std::int64_t dy = cov.lo; dy <= cov.hi && count < 2; ++dy) {
+            const std::int64_t row = hash.wrap(by + dy) * g;
+            for (std::int64_t dx = cov.lo; dx <= cov.hi; ++dx) {
+              const auto b = static_cast<std::size_t>(row + hash.wrap(bx + dx));
+              if (b != own && !hash.visit_bucket(b, census)) break;
+            }
+          }
+        }
+        if (count == 1) lone[i] = found;
+        return true;
+      });
+    }
+  }
 }
 
 const std::vector<phy::Transmission>& SStarScheduler::extract_pairs(

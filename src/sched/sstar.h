@@ -73,29 +73,31 @@ class SStarScheduler {
       ScheduleStats* stats = nullptr,
       const phy::InterferenceModel* model = nullptr) const;
 
-  /// Hot-path form: reuses both an externally maintained spatial hash
-  /// (which the slot simulator updates incrementally) and the caller's
-  /// Workspace. Returns ws.pairs by reference; the pair set and order are
-  /// identical to the allocating overloads. Zero allocations at steady
-  /// state, and the inner guard-disk scan runs through the inlined
-  /// SpatialHash::visit_disk rather than a std::function callback.
+  /// Hot-path form: reuses both an externally maintained spatial hash over
+  /// `pos` and the caller's Workspace. Returns ws.pairs by reference; the
+  /// pair set and order are identical to the allocating overloads. Zero
+  /// allocations at steady state. It is the three phases below with one
+  /// stripe covering every bucket row.
   const std::vector<phy::Transmission>& feasible_pairs_into(
       const std::vector<geom::Point>& pos, const geom::SpatialHash& hash,
       Workspace& ws, ScheduleStats* stats = nullptr,
       const phy::InterferenceModel* model = nullptr) const;
 
-  /// Sharded form of feasible_pairs_into, split into phases so the slot
-  /// simulator can fan the (dominant) lone-neighbor scan out over
-  /// disjoint bucket-row stripes of the spatial hash:
+  /// feasible_pairs_into split into phases so the slot simulator can fan
+  /// the (dominant) lone-neighbor scan out over disjoint bucket-row
+  /// stripes of the spatial hash:
   ///
   ///   begin_scan(pos.size(), ws);
   ///   lone_scan_rows(pos, hash, ws, rb, re);   // per stripe, in parallel
   ///   extract_pairs(pos, ws, stats);           // serial
   ///
-  /// Each lone entry is a pure function of (pos, hash) and every indexed
-  /// id lives in exactly one bucket row, so covering all rows — in any
-  /// order, any partition — produces the identical lone table and
-  /// therefore bit-identical pairs and stats to feasible_pairs_into.
+  /// lone_scan_rows is the one lone-scan kernel: it walks the hash's cell
+  /// list bucket by bucket, scans each node's own bucket first and stops
+  /// at the second neighbour inside the guard disk. Each lone entry is a
+  /// pure function of `pos` and every indexed id lives in exactly one
+  /// bucket row, so covering all rows — in any order, any partition —
+  /// produces the identical lone table and therefore bit-identical pairs
+  /// and stats. An incremental (moved) hash is scanned through its chains.
   void begin_scan(std::size_t n, Workspace& ws) const;
   void lone_scan_rows(const std::vector<geom::Point>& pos,
                       const geom::SpatialHash& hash, Workspace& ws,

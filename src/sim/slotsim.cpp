@@ -108,10 +108,10 @@ void validate_options(const SlotSimOptions& opt) {
 /// memory and allocates nothing. Routing structure (H-V paths, serving
 /// sets, cell members) is flattened to CSR. Node positions live in one
 /// persistent buffer indexed [0, n) for MSs and [n, n+k) for BSs, and the
-/// S* spatial hash is maintained incrementally across slots
-/// (SpatialHash::move) instead of rebuilt. Event order — and therefore
-/// every golden trace byte — is identical to the legacy implementation
-/// preserved in slotsim_reference.cpp.
+/// S* cell list is rebuilt from it every slot (iid mobility moves nearly
+/// every MS to a new bucket each slot, so a counting sort beats relinking).
+/// Event order — and therefore every golden trace byte — is identical to
+/// the legacy implementation preserved in slotsim_reference.cpp.
 class SlotSim {
  public:
   SlotSim(const net::Network& net, const std::vector<std::uint32_t>& dest,
@@ -260,13 +260,12 @@ class SlotSim {
     // S* guard radius over the whole population.
     geom::SpatialHash hash((1.0 + opt_.delta) * sstar.range_for(n_ + k_),
                            n_ + k_);
-    bool hash_ready = false;
     std::uint64_t pair_count = 0;
     std::size_t t0 = 0;
     if (!opt_.resume_path.empty())
-      t0 = load_checkpoint(*process, hash, hash_ready, pair_count);
-    // Only the S*-driven pipeline (schemes A/two-hop/B) has the hash and
-    // scan phases to stripe; scheme C is static TDMA and runs serial.
+      t0 = load_checkpoint(*process, pair_count);
+    // Only the S*-driven pipeline (schemes A/two-hop/B) has a scan phase
+    // to stripe; scheme C is static TDMA and runs serial.
     const std::size_t shards =
         opt_.scheme == SlotScheme::kSchemeC ? 1 : opt_.shards;
 
@@ -276,7 +275,7 @@ class SlotSim {
       // a pointless immediate re-save on resume.
       if (opt_.checkpoint_every > 0 && t > t0 &&
           t % opt_.checkpoint_every == 0)
-        save_checkpoint(t, *process, hash_ready, pair_count);
+        save_checkpoint(t, *process, pair_count);
       const bool measure = t >= opt_.warmup;
       if (measure && !measuring_) {
         measuring_ = true;
@@ -301,33 +300,22 @@ class SlotSim {
         continue;
       }
 
+      // Rebuild the cell list from this slot's positions; the BS tail of
+      // pos_all_ never changes.
       const std::vector<geom::Point>& mpos = process->positions();
-      if (!hash_ready) {
-        std::copy(mpos.begin(), mpos.end(), pos_all_.begin());
-        hash.build(pos_all_);
-        hash_ready = true;
-      } else if (shards <= 1) {
-        // Only MSs move; each slot rebuckets just the ids that crossed a
-        // bucket boundary. BS entries never change.
-        for (std::uint32_t i = 0; i < n_; ++i) {
-          hash.move(i, pos_all_[i], mpos[i]);
-          pos_all_[i] = mpos[i];
-        }
-      } else {
-        sharded_move(hash, mpos, shards);
-      }
+      std::copy(mpos.begin(), mpos.end(), pos_all_.begin());
+      hash.build(pos_all_);
       sched::ScheduleStats sstats;
+      sstar.begin_scan(n_ + k_, ws);
+      const std::int64_t g = hash.grid_side();
       bool stepped = false;
-      const std::vector<phy::Transmission>* pairs_ptr;
       if (shards > 1) {
         // Parallel phase: stripe the S* lone-neighbor scan over bucket-row
         // bands, and overlap next slot's mobility draw as one extra task —
         // step() mutates only process-internal state, and positions() is
         // not read again until the top of the next slot. Extraction stays
-        // serial (id-ascending) so the pair list, and therefore every
+        // serial (id-ascending), so the pair list, and therefore every
         // transfer and trace byte, matches the serial path exactly.
-        sstar.begin_scan(n_ + k_, ws);
-        const std::int64_t g = hash.grid_side();
         util::ThreadPool::shared().parallel_for(
             shards + 1, [&](std::size_t s) {
               if (s == shards) {
@@ -340,13 +328,11 @@ class SlotSim {
                                    g * (ss + 1) / sn);
             });
         stepped = true;
-        pairs_ptr =
-            &sstar.extract_pairs(pos_all_, ws, &sstats, phy_model.get());
       } else {
-        pairs_ptr = &sstar.feasible_pairs_into(pos_all_, hash, ws, &sstats,
-                                               phy_model.get());
+        sstar.lone_scan_rows(pos_all_, hash, ws, 0, g);
       }
-      const auto& pairs = *pairs_ptr;
+      const auto& pairs =
+          sstar.extract_pairs(pos_all_, ws, &sstats, phy_model.get());
       audit_.add(Counter::kSchedCandidatePairs, sstats.candidate_pairs);
       audit_.add(Counter::kSchedFeasiblePairs, sstats.feasible_pairs);
       audit_.add(Counter::kSchedRangeRejected, sstats.range_rejected);
@@ -398,9 +384,8 @@ class SlotSim {
         vec_bytes(serving_is_fallback_) + vec_bytes(members_start_) +
         vec_bytes(members_ids_) + vec_bytes(cell_color_) +
         vec_bytes(rr_cell_) + vec_bytes(bs_alive_) +
-        vec_bytes(ms_alive_) + vec_bytes(inj_count_) +
-        vec_bytes(move_old_row_) + vec_bytes(move_new_row_) +
-        vec_bytes(ws.lone) + vec_bytes(ws.pairs) + hash.memory_bytes() +
+        vec_bytes(ms_alive_) + vec_bytes(inj_count_) + vec_bytes(ws.lone) +
+        vec_bytes(ws.pairs) + hash.memory_bytes() +
         wire_credit_.memory_bytes();
 
     std::uint64_t queued = 0;
@@ -646,9 +631,8 @@ class SlotSim {
 
   /// Swaps the mobility process for the shifted regime. The new process
   /// re-initializes motion from the home points with a slot-derived seed,
-  /// so the shift is deterministic and shard-invariant; the incremental
-  /// spatial hash absorbs the position jump through its ordinary per-MS
-  /// move path at the top of the next S* phase.
+  /// so the shift is deterministic and shard-invariant; the next S* phase
+  /// rebuilds its cell list from the new positions like any other slot's.
   void apply_mobility_shift(
       const FaultEvent& e,
       std::unique_ptr<mobility::MobilityProcess>& process) {
@@ -1228,71 +1212,6 @@ class SlotSim {
     }
   }
 
-  // --- sharded slot pipeline -----------------------------------------------
-  /// Stripe-parallel incremental hash maintenance. Three phases:
-  ///   M1 (parallel over id ranges): compute each MS's old/new bucket row
-  ///      into scratch — reads only pos_all_ and mpos, writes disjoint
-  ///      ranges.
-  ///   M2 (parallel over stripes of bucket rows): stripe s owns rows
-  ///      [g·s/S, g·(s+1)/S) and processes exactly the ids whose OLD row
-  ///      lies in it. Movers staying inside the stripe are rebucketed
-  ///      immediately: every chain pointer a move() touches belongs to the
-  ///      id's old or new bucket — chain neighbors share the id's bucket,
-  ///      and each bucket row belongs to exactly one stripe — so writes
-  ///      from different stripes never alias. Movers whose new row falls
-  ///      outside the stripe are deferred.
-  ///   M3 (serial): apply the deferred movers, stripe-ascending then
-  ///      id-ascending.
-  /// The per-bucket id SETS after M3 equal the serial path's exactly; only
-  /// within-bucket chain order can differ, which no consumer observes (S*
-  /// lone counting is order-free, nearest() never runs on this hash
-  /// mid-run). The shard-invariance tests byte-compare the traces to pin
-  /// this down.
-  void sharded_move(geom::SpatialHash& hash,
-                    const std::vector<geom::Point>& mpos,
-                    std::size_t shards) {
-    hash.ensure_incremental();  // the CSR→list conversion must stay serial
-    util::ThreadPool& pool = util::ThreadPool::shared();
-    const std::int64_t g = hash.grid_side();
-    move_old_row_.resize(n_);
-    move_new_row_.resize(n_);
-    move_deferred_.resize(shards);
-    pool.parallel_for(shards, [&](std::size_t s) {
-      const std::size_t b = n_ * s / shards;
-      const std::size_t e = n_ * (s + 1) / shards;
-      for (std::size_t i = b; i < e; ++i) {
-        move_old_row_[i] =
-            static_cast<std::int32_t>(hash.bucket_row_of(pos_all_[i]));
-        move_new_row_[i] =
-            static_cast<std::int32_t>(hash.bucket_row_of(mpos[i]));
-      }
-    });
-    pool.parallel_for(shards, [&](std::size_t s) {
-      const auto ss = static_cast<std::int64_t>(s);
-      const auto sn = static_cast<std::int64_t>(shards);
-      const std::int64_t rb = g * ss / sn;
-      const std::int64_t re = g * (ss + 1) / sn;
-      auto& defer = move_deferred_[s];
-      defer.clear();
-      for (std::uint32_t i = 0; i < n_; ++i) {
-        const std::int32_t ro = move_old_row_[i];
-        if (ro < rb || ro >= re) continue;
-        const std::int32_t rn = move_new_row_[i];
-        if (rn >= rb && rn < re) {
-          hash.move(i, pos_all_[i], mpos[i]);
-          pos_all_[i] = mpos[i];
-        } else {
-          defer.push_back(i);
-        }
-      }
-    });
-    for (const auto& defer : move_deferred_)
-      for (std::uint32_t i : defer) {
-        hash.move(i, pos_all_[i], mpos[i]);
-        pos_all_[i] = mpos[i];
-      }
-  }
-
   // --- checkpoint / restore (MCCKPT1, docs/SCALE.md) -----------------------
   /// Fingerprints bind a checkpoint to the run that wrote it: the exact
   /// traffic pattern, network geometry and fault timeline — anything the
@@ -1359,7 +1278,7 @@ class SlotSim {
   /// the previous checkpoint).
   void save_checkpoint(std::size_t t_next,
                        const mobility::MobilityProcess& process,
-                       bool hash_ready, std::uint64_t pair_count) const {
+                       std::uint64_t pair_count) const {
     using util::binio::put_f64;
     using util::binio::put_id_list;
     using util::binio::put_u64_fixed;
@@ -1397,7 +1316,10 @@ class SlotSim {
     // Cursor + scalar state.
     put_varint(out, t_next);
     out.push_back(measuring_ ? 1 : 0);
-    out.push_back(hash_ready ? 1 : 0);
+    // Legacy "S* hash built" flag: true from the first S* slot on, which
+    // every checkpoint of an S* scheme follows (checkpoints land at t ≥ 1).
+    // The cell list is rebuilt every slot, so nothing reads it back.
+    out.push_back(opt_.scheme != SlotScheme::kSchemeC ? 1 : 0);
     put_varint(out, pair_count);
     put_varint(out, in_network_);
     put_varint(out, rr_);
@@ -1421,7 +1343,7 @@ class SlotSim {
         }
       }
     }
-    // Positions (the hash is rebuilt from these on load, not serialized).
+    // Positions (the S* cell list is rebuilt from these, not serialized).
     for (const geom::Point& p : pos_all_) {
       put_f64(out, p.x);
       put_f64(out, p.y);
@@ -1497,11 +1419,10 @@ class SlotSim {
 
   /// Restores state from opt_.resume_path. Validates the config echo and
   /// fingerprints against this run's configuration, then loads everything
-  /// save_checkpoint wrote and rebuilds the derived structures (spatial
-  /// hash from positions, scheme-C members/colors from the restored
-  /// association). Returns the slot to resume at.
+  /// save_checkpoint wrote and rebuilds the derived structures (scheme-C
+  /// members/colors from the restored association; the S* cell list is
+  /// rebuilt every slot anyway). Returns the slot to resume at.
   std::size_t load_checkpoint(mobility::MobilityProcess& process,
-                              geom::SpatialHash& hash, bool& hash_ready,
                               std::uint64_t& pair_count) {
     using util::binio::get_f64;
     using util::binio::get_id_list;
@@ -1573,7 +1494,7 @@ class SlotSim {
     MANETCAP_CHECK_MSG(t_next <= opt_.slots,
                        "checkpoint: resume slot beyond the horizon");
     measuring_ = r.u8() != 0;
-    hash_ready = r.u8() != 0;
+    r.u8();  // legacy "S* hash built" flag, see save_checkpoint
     pair_count = r.varint();
     in_network_ = r.varint();
     rr_ = r.varint();
@@ -1652,7 +1573,7 @@ class SlotSim {
     }
     for (std::size_t c = 0; c < kNumCounters; ++c)
       audit_.add(static_cast<Counter>(c), r.varint());  // fresh registry: add == set
-    const std::uint64_t n_samples = r.varint();
+    const std::uint64_t n_samples = r.count(5, "series sample");
     MANETCAP_CHECK_MSG(n_samples <= opt_.slots,
                        "checkpoint: series sample count out of range");
     std::vector<SlotSample> samples(n_samples);
@@ -1664,10 +1585,7 @@ class SlotSim {
       s.live_bs = r.u32v();
     }
     audit_.restore_series(std::move(samples));
-    const std::uint64_t n_delays = r.varint();
-    MANETCAP_CHECK_MSG(n_delays <= (std::uint64_t{1} << 40),
-                       "checkpoint: delay log size out of range");
-    delays_.resize(n_delays);
+    delays_.resize(r.count(8, "delay log"));  // one f64 per delay
     for (double& d : delays_) d = get_f64(r);
     process.load_state(r);
     const std::uint8_t has_trace = r.u8();
@@ -1684,12 +1602,8 @@ class SlotSim {
     }
     MANETCAP_CHECK_MSG(r.pos == r.end, "checkpoint: trailing bytes");
 
-    // Derived state. The hash is a fresh CSR build over the restored
-    // positions — within-bucket order may differ from the incremental
-    // chains the original run carried, which is unobservable (see
-    // sharded_move). Scheme C re-derives members and colors from the
+    // Derived state. Scheme C re-derives members and colors from the
     // restored association + liveness, exactly as rebuild_serving would.
-    if (hash_ready) hash.build(pos_all_);
     if (opt_.scheme == SlotScheme::kSchemeC) rebuild_members_and_colors();
     return t_next;
   }
@@ -1782,11 +1696,6 @@ class SlotSim {
   std::vector<std::uint8_t> ms_alive_;
   std::size_t live_ms_ = 0;
 
-  // Sharded-move scratch (old/new bucket row per MS, per-stripe deferred
-  // movers), reused across slots. Empty on the serial path.
-  std::vector<std::int32_t> move_old_row_;
-  std::vector<std::int32_t> move_new_row_;
-  std::vector<std::vector<std::uint32_t>> move_deferred_;
 };
 
 }  // namespace

@@ -86,10 +86,9 @@ struct SlotSimOptions : RunConfig {
   bool check_conservation = true;
 
   // --- single-run scale knobs (docs/SCALE.md) ------------------------------
-  /// Spatial stripes the per-slot parallel phases (incremental hash
-  /// maintenance, the S* lone-neighbor scan, and the overlapped mobility
-  /// step) fan out over on util::ThreadPool::shared(). 1 = the serial
-  /// legacy path. Results — traces, metrics, every result field — are
+  /// Spatial stripes the per-slot S* lone-neighbor scan (with the next
+  /// slot's mobility step overlapped as one extra task) fans out over on
+  /// util::ThreadPool::shared(). 1 = the serial path. Results — traces, metrics, every result field — are
   /// bit-identical for every value; scheme C has no S* phase and ignores
   /// the knob.
   std::size_t shards = 1;

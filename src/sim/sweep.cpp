@@ -1,6 +1,8 @@
 #include "sim/sweep.h"
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "analysis/stats.h"
 #include "util/check.h"
@@ -81,14 +83,25 @@ SweepResult run_sweep(const net::ScalingParams& base,
     ctx.metrics = want_metrics ? &cell_metrics[cell] : nullptr;
     lambdas[cell] = eval(ctx);
   };
+  // Longest first: cells start in descending n, stable on index, so the
+  // costliest cells do not start last and finish alone. Both paths use
+  // this order, so a failing sweep reports the same cell's error for any
+  // thread count (parallel_for rethrows the lowest failing position).
+  std::vector<std::size_t> order(cells);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return sizes[a / trials] > sizes[b / trials];
+                   });
+  auto run_nth = [&](std::size_t i) { run_cell(order[i]); };
   if (num_threads <= 1 || cells <= 1) {
-    for (std::size_t cell = 0; cell < cells; ++cell) run_cell(cell);
+    for (std::size_t i = 0; i < cells; ++i) run_nth(i);
   } else {
     // Persistent executor: the shared pool's workers outlive this call, so
     // repeated sweeps (every bench loop, every CLI invocation doing
     // several sweeps) pay no thread create/join churn. num_threads only
     // caps this group's concurrency.
-    util::ThreadPool::shared().parallel_for(cells, run_cell, num_threads);
+    util::ThreadPool::shared().parallel_for(cells, run_nth, num_threads);
   }
 
   // Reduction: serial, fixed order — output is bit-identical to the

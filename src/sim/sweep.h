@@ -91,7 +91,9 @@ std::uint64_t traffic_seed(std::uint64_t seed);
 /// functions of the context are; lambdas mutating captured state need
 /// their own synchronization). When options.metrics is set it receives
 /// the aggregate of every cell's private registry, merged serially in
-/// fixed cell order.
+/// fixed cell order. Cells start longest first (descending n, stable on
+/// index); when cells throw, the error of the first failing cell in that
+/// order is rethrown, for any num_threads.
 SweepResult run_sweep(const net::ScalingParams& base,
                       const std::vector<std::size_t>& sizes,
                       std::size_t trials, const SweepEvaluator& eval,

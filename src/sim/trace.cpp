@@ -86,10 +86,9 @@ void encode_faults(std::vector<std::uint8_t>& out,
 }
 
 std::vector<TraceFault> decode_faults(util::binio::ByteReader& r) {
-  const std::uint64_t nf = r.varint();
-  MANETCAP_CHECK_MSG(nf <= (1ULL << 24),
-                     r.label << ": fault timeline too large");
-  std::vector<TraceFault> faults(nf);
+  // A fault entry takes at least 13 bytes: kind, slot, two empty id
+  // lists, the f64 scale and an empty id table.
+  std::vector<TraceFault> faults(r.count(13, "fault timeline"));
   for (auto& f : faults) {
     f.kind = r.u8();
     MANETCAP_CHECK_MSG(f.kind <= TraceFault::kKindShift,
@@ -121,10 +120,8 @@ void encode_events(std::vector<std::uint8_t>& out,
 
 std::vector<TraceEvent> decode_events(util::binio::ByteReader& r,
                                       std::uint8_t max_kind) {
-  const std::uint64_t count = r.varint();
-  MANETCAP_CHECK_MSG(count <= (1ULL << 32),
-                     r.label << ": event count too large");
-  std::vector<TraceEvent> events(count);
+  // An event takes at least 6 bytes: its kind and five varints.
+  std::vector<TraceEvent> events(r.count(6, "event"));
   std::int64_t prev_slot = 0;
   for (auto& e : events) {
     const std::uint8_t kind = r.u8();

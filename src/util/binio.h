@@ -68,6 +68,19 @@ struct ByteReader {
     return static_cast<std::uint32_t>(v);
   }
 
+  /// Reads an element count and checks it against the bytes left before
+  /// the caller allocates: each element encodes to at least
+  /// `min_bytes_each` bytes, so a count the buffer cannot hold is a named
+  /// error instead of an out-of-memory-sized allocation.
+  std::uint64_t count(std::size_t min_bytes_each, const char* what) {
+    const std::uint64_t n = varint();
+    MANETCAP_CHECK_MSG(n <= (end - pos) / min_bytes_each,
+                       label << ": " << what << " count " << n
+                             << " exceeds the " << (end - pos)
+                             << " bytes left");
+    return n;
+  }
+
   std::uint64_t u64_fixed() {
     MANETCAP_CHECK_MSG(pos + 8 <= end, label << ": truncated u64");
     std::uint64_t v = 0;
@@ -120,9 +133,7 @@ inline void put_id_list(std::vector<std::uint8_t>& out,
 }
 
 inline std::vector<std::uint32_t> get_id_list(ByteReader& r) {
-  const std::uint64_t count = r.varint();
-  MANETCAP_CHECK_MSG(count <= (1ULL << 28), r.label << ": id list too large");
-  std::vector<std::uint32_t> v(count);
+  std::vector<std::uint32_t> v(r.count(1, "id list"));
   for (auto& x : v) x = r.u32v();
   return v;
 }
@@ -134,9 +145,7 @@ inline void put_id_lists(std::vector<std::uint8_t>& out,
 }
 
 inline std::vector<std::vector<std::uint32_t>> get_id_lists(ByteReader& r) {
-  const std::uint64_t count = r.varint();
-  MANETCAP_CHECK_MSG(count <= (1ULL << 28), r.label << ": id table too large");
-  std::vector<std::vector<std::uint32_t>> vs(count);
+  std::vector<std::vector<std::uint32_t>> vs(r.count(1, "id table"));
   for (auto& v : vs) v = get_id_list(r);
   return vs;
 }

@@ -118,6 +118,8 @@ struct HashCase {
   std::size_t n;
   double radius;
 };
+// gtest names each case after these bytes; with no padding every one is set.
+static_assert(sizeof(HashCase) == sizeof(std::size_t) + sizeof(double));
 
 class SpatialHashOracle : public ::testing::TestWithParam<HashCase> {};
 
@@ -185,7 +187,9 @@ TEST(SpatialHashMove, AcrossBucketBoundary) {
   hash.move(0, {0.05, 0.05}, {0.55, 0.55});
   EXPECT_EQ(hash.count_in_disk({0.05, 0.05}, 0.02), 0u);
   EXPECT_EQ(hash.count_in_disk({0.55, 0.55}, 0.02), 1u);
-  EXPECT_EQ(hash.point(0).x, 0.55);
+  // A zero-radius query matches the stored position exactly.
+  EXPECT_EQ(hash.query_disk({0.55, 0.55}, 0.0),
+            std::vector<std::uint32_t>{0});
   // The unmoved point is unaffected.
   EXPECT_EQ(hash.count_in_disk({0.95, 0.5}, 0.02), 1u);
 }

@@ -392,8 +392,9 @@ TEST(SpatialHash, TinyRadiusHintClampsInsteadOfOverflowing) {
   EXPECT_GE(hash.count_in_disk(probe, 1e-9), 1u);
 }
 
-// Rows partition the indexed set: visiting every row range exactly covers
-// every id once — the invariant the sharded S* scan rides on.
+// Rows partition the indexed set: walking the buckets of every row range
+// covers every id once, at its own position — the invariant the sharded
+// S* scan rides on. Checked on the snapshot and on a moved hash.
 TEST(SpatialHash, VisitRowsPartitionsIds) {
   std::vector<Point> pts;
   for (int i = 0; i < 200; ++i)
@@ -401,11 +402,26 @@ TEST(SpatialHash, VisitRowsPartitionsIds) {
   SpatialHash hash(0.05, pts.size());
   hash.build(pts);
   const std::int64_t g = hash.grid_side();
-  std::vector<int> seen(pts.size(), 0);
-  for (std::int64_t s = 0; s < 4; ++s)
-    hash.visit_rows(g * s / 4, g * (s + 1) / 4,
-                    [&](std::uint32_t id) { ++seen[id]; });
-  for (std::size_t i = 0; i < pts.size(); ++i) EXPECT_EQ(seen[i], 1) << i;
+  auto check_partition = [&] {
+    std::vector<int> seen(pts.size(), 0);
+    for (std::int64_t s = 0; s < 4; ++s)
+      for (std::int64_t b = g * g * s / 4; b < g * g * (s + 1) / 4; ++b)
+        hash.visit_bucket(static_cast<std::size_t>(b),
+                          [&](std::uint32_t id, const Point& p) {
+                            ++seen[id];
+                            EXPECT_EQ(p.x, pts[id].x);
+                            EXPECT_EQ(p.y, pts[id].y);
+                            return true;
+                          });
+    for (std::size_t i = 0; i < pts.size(); ++i) EXPECT_EQ(seen[i], 1) << i;
+  };
+  check_partition();
+  for (std::uint32_t i = 0; i < pts.size(); i += 3) {
+    const Point to{pts[(i + 101) % pts.size()].x, pts[i].y};
+    hash.move(i, pts[i], to);
+    pts[i] = to;
+  }
+  check_partition();
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "capacity/cutset.h"
 #include "capacity/formulas.h"
@@ -27,6 +28,12 @@ struct MuCase {
   mobility::ShapeKind kind;
   double f;
 };
+
+// Without a printer gtest names each case after MuCase's 16 raw bytes, 4 of
+// them uninitialised padding, so the ctest names changed from run to run.
+void PrintTo(const MuCase& c, std::ostream* os) {
+  *os << "{" << mobility::to_string(c.kind) << ", f=" << c.f << "}";
+}
 
 class MuLawConsistency : public ::testing::TestWithParam<MuCase> {};
 

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <set>
+#include <stdexcept>
 #include <string>
 
 #include "geom/point.h"
@@ -168,19 +169,23 @@ TEST(Sweep, TrialSeedsNeverCollide) {
 }
 
 TEST(Sweep, TrialSeedMatchesRunSweepDerivation) {
-  std::vector<std::uint64_t> seen;
+  // Serial, so the evaluator may record without a lock. Cells start
+  // longest first; each gets trial_seed(seed0, size index, trial).
+  std::vector<std::pair<std::size_t, std::uint64_t>> seen;  // (n, seed)
   auto eval = [&seen](const EvalContext& ctx) {
-    seen.push_back(ctx.seed);
+    seen.push_back({ctx.params.n, ctx.seed});
     return 1.0;
   };
   SweepOptions opt;
   opt.seed0 = 7;
+  opt.num_threads = 1;
   run_sweep(strong_params(0), {128, 256}, 2, eval, opt);
-  ASSERT_EQ(seen.size(), 4u);
-  EXPECT_EQ(seen[0], trial_seed(7, 0, 0));
-  EXPECT_EQ(seen[1], trial_seed(7, 0, 1));
-  EXPECT_EQ(seen[2], trial_seed(7, 1, 0));
-  EXPECT_EQ(seen[3], trial_seed(7, 1, 1));
+  const std::vector<std::pair<std::size_t, std::uint64_t>> want = {
+      {256, trial_seed(7, 1, 0)},
+      {256, trial_seed(7, 1, 1)},
+      {128, trial_seed(7, 0, 0)},
+      {128, trial_seed(7, 0, 1)}};
+  EXPECT_EQ(seen, want);
 }
 
 TEST(Sweep, ThreadCountDoesNotChangeResults) {
@@ -220,6 +225,41 @@ TEST(Sweep, ThreadCountDoesNotChangeResults) {
     EXPECT_DOUBLE_EQ(r.fit.exponent, reference.fit.exponent);
     EXPECT_DOUBLE_EQ(r.fit.stderr_, reference.fit.stderr_);
     EXPECT_DOUBLE_EQ(r.fit.r_squared, reference.fit.r_squared);
+  }
+}
+
+TEST(Sweep, CellsStartLongestFirst) {
+  // Unsorted sizes: cells start in descending n, trials of one size in
+  // index order.
+  std::vector<std::size_t> started;
+  auto eval = [&started](const EvalContext& ctx) {
+    started.push_back(ctx.params.n);
+    return 1.0;
+  };
+  SweepOptions opt;
+  opt.num_threads = 1;
+  run_sweep(strong_params(0), {512, 2048, 1024}, 2, eval, opt);
+  EXPECT_EQ(started,
+            (std::vector<std::size_t>{2048, 2048, 1024, 1024, 512, 512}));
+}
+
+TEST(Sweep, FailingSweepReportsTheSameErrorForAnyThreadCount) {
+  // Two cells fail; the one that starts first (largest n) is reported,
+  // however many threads ran the sweep.
+  auto eval = [](const EvalContext& ctx) -> double {
+    if (ctx.params.n != 1024)
+      throw std::runtime_error("cell n=" + std::to_string(ctx.params.n));
+    return 1.0;
+  };
+  for (std::size_t threads : {1u, 2u, 8u}) {
+    SweepOptions opt;
+    opt.num_threads = threads;
+    try {
+      run_sweep(strong_params(0), {512, 1024, 2048}, 3, eval, opt);
+      ADD_FAILURE() << "sweep with failing cells returned";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "cell n=2048") << threads << " threads";
+    }
   }
 }
 

@@ -17,6 +17,7 @@
 #include "sim/metrics.h"
 #include "sim/slotsim.h"
 #include "sim/trace.h"
+#include "util/binio.h"
 #include "util/check.h"
 
 namespace manetcap::sim {
@@ -70,6 +71,51 @@ TEST(TraceCodec, BadMagicIsRejected) {
   auto bytes = capture_trace(spec_by_name("two_hop")).encode();
   bytes[0] = 'X';
   EXPECT_THROW(Trace::decode(bytes), manetcap::CheckError);
+}
+
+// An MCTRACE1 file with an empty context up to its serving table, which
+// claims `serving_lists` lists; when that is 0, the event section claims
+// `events` events. The all-zero footer follows; no claimed element is
+// backed by a byte, and the FNV trailer is re-sealed so the checksum
+// passes and only the counts are wrong.
+std::vector<std::uint8_t> crafted_trace(std::uint64_t serving_lists,
+                                        std::uint64_t events) {
+  using util::binio::put_u64_fixed;
+  using util::binio::put_varint;
+  std::vector<std::uint8_t> out = {'M', 'C', 'T', 'R', 'A', 'C', 'E', '1'};
+  out.push_back(0);  // scheme
+  out.push_back(0);  // mobility
+  for (int i = 0; i < 7; ++i) put_varint(out, 0);  // n … seed
+  put_u64_fixed(out, 0);                             // wired_c
+  for (int i = 0; i < 3; ++i) put_varint(out, 0);  // dest, home_cell, paths
+  put_varint(out, serving_lists);
+  if (serving_lists == 0) put_varint(out, events);
+  for (int i = 0; i < 3; ++i) put_varint(out, 0);  // footer
+  put_u64_fixed(out, util::binio::fnv1a(out.data(), out.size()));
+  return out;
+}
+
+void expect_check_error(const std::vector<std::uint8_t>& bytes,
+                        const std::string& what) {
+  try {
+    Trace::decode(bytes);
+    ADD_FAILURE() << "decode accepted a trace claiming a huge " << what;
+  } catch (const manetcap::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find(what + " count"), std::string::npos)
+        << e.what();
+  }
+}
+
+// A claimed count is checked against the bytes left before anything is
+// allocated: these used to reach a multi-GiB allocation (std::bad_alloc
+// at best) instead of a named error.
+TEST(TraceCodec, HugeServingTableIsRejectedBeforeAllocating) {
+  expect_check_error(crafted_trace(std::uint64_t{1} << 28, 0), "id table");
+}
+
+TEST(TraceCodec, HugeEventCountIsRejectedBeforeAllocating) {
+  EXPECT_NO_THROW(Trace::decode(crafted_trace(0, 0)));  // the frame is valid
+  expect_check_error(crafted_trace(0, std::uint64_t{1} << 32), "event");
 }
 
 // -------------------------------------------------------------- checker --
