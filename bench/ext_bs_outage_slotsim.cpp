@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
   p.n = smoke ? 256 : 512;
 
   sim::SlotSimOptions opt;
-  opt.scheme = sim::SlotScheme::kSchemeB;
+  opt.scheme = sim::Scheme::kSchemeB;
   opt.slots = smoke ? 1200 : 4000;
   opt.warmup = smoke ? 200 : 400;
   opt.seed = 107;

@@ -152,7 +152,7 @@ int main(int argc, char** argv) {
       if (is_c) {
         sim::FluidOptions opt;
         opt.seed = ctx.seed;
-        opt.force = sim::FluidOptions::ForceScheme::kC;
+        opt.force = sim::Scheme::kSchemeC;
         opt.placement = net::BsPlacement::kClusterGrid;
         return sim::evaluate_capacity(ctx.params, opt).lambda_symmetric;
       }
@@ -162,7 +162,7 @@ int main(int argc, char** argv) {
       rng::Xoshiro256 g(sim::traffic_seed(ctx.seed));
       const auto dest = net::permutation_traffic(ctx.params.n, g);
       sim::FlowSimOptions fopt;
-      fopt.scheme = sim::FlowScheme::kSchemeB;
+      fopt.scheme = sim::Scheme::kSchemeB;
       fopt.slots = slots;
       fopt.seed = ctx.seed;
       return sim::run_flow_sim(net, dest, fopt).lambda_strict;

@@ -17,7 +17,7 @@ namespace {
 using namespace manetcap;
 
 sim::SlotSimResult run_case(const net::ScalingParams& p,
-                            sim::SlotScheme scheme, std::size_t slots) {
+                            sim::Scheme scheme, std::size_t slots) {
   auto net = net::Network::build(p, mobility::ShapeKind::kUniformDisk,
                                  net::BsPlacement::kClusteredMatched, 301);
   rng::Xoshiro256 g(303);
@@ -48,7 +48,7 @@ int main() {
     adhoc.alpha = 0.3;
     adhoc.with_bs = false;
     adhoc.M = 1.0;
-    auto ra = run_case(adhoc, sim::SlotScheme::kSchemeA, 4000);
+    auto ra = run_case(adhoc, sim::Scheme::kSchemeA, 4000);
     t.add_row({"scheme-A", std::to_string(n),
                util::fmt_sci(ra.mean_flow_rate, 3),
                util::fmt_double(ra.mean_delay, 4),
@@ -61,7 +61,7 @@ int main() {
     mixing.alpha = 0.0;  // full mixing: the regime where two-hop works
     mixing.with_bs = false;
     mixing.M = 1.0;
-    auto rt = run_case(mixing, sim::SlotScheme::kTwoHop, 4000);
+    auto rt = run_case(mixing, sim::Scheme::kTwoHop, 4000);
     t.add_row({"two-hop (f=1)", std::to_string(n),
                util::fmt_sci(rt.mean_flow_rate, 3),
                util::fmt_double(rt.mean_delay, 4),
@@ -76,7 +76,7 @@ int main() {
     hybrid.K = 0.8;
     hybrid.M = 1.0;
     hybrid.phi = 0.0;
-    auto rb = run_case(hybrid, sim::SlotScheme::kSchemeB, 4000);
+    auto rb = run_case(hybrid, sim::Scheme::kSchemeB, 4000);
     t.add_row({"scheme-B", std::to_string(n),
                util::fmt_sci(rb.mean_flow_rate, 3),
                util::fmt_double(rb.mean_delay, 4),

@@ -47,7 +47,7 @@ struct Scenario {
 
 struct SchemeCase {
   const char* name;
-  sim::FlowScheme scheme;
+  sim::Scheme scheme;
   net::BsPlacement placement;
 };
 
@@ -86,12 +86,12 @@ int main(int argc, char** argv) {
       {"bursty", "hotspot:0.15,0.7;onoff:50,150"},
   };
   const SchemeCase schemes[] = {
-      {"scheme-B", sim::FlowScheme::kSchemeB,
+      {"scheme-B", sim::Scheme::kSchemeB,
        net::BsPlacement::kClusteredMatched},
-      {"scheme-C", sim::FlowScheme::kSchemeC, net::BsPlacement::kClusterGrid},
-      {"two-hop", sim::FlowScheme::kTwoHop,
+      {"scheme-C", sim::Scheme::kSchemeC, net::BsPlacement::kClusterGrid},
+      {"two-hop", sim::Scheme::kTwoHop,
        net::BsPlacement::kClusteredMatched},
-      {"static-multihop", sim::FlowScheme::kStaticMultihop,
+      {"static-multihop", sim::Scheme::kStaticMultihop,
        net::BsPlacement::kClusteredMatched},
   };
 
@@ -113,7 +113,7 @@ int main(int argc, char** argv) {
   };
 
   for (const SchemeCase& sc : schemes) {
-    const bool is_c = sc.scheme == sim::FlowScheme::kSchemeC;
+    const bool is_c = sc.scheme == sim::Scheme::kSchemeC;
     const auto net =
         net::Network::build(is_c ? pc : p, mobility::ShapeKind::kUniformDisk,
                             sc.placement, /*seed=*/701);

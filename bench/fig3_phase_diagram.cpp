@@ -82,10 +82,10 @@ int main(int argc, char** argv) {
     sim::SweepEvaluator eval = [](const sim::EvalContext& ctx) {
       sim::FluidOptions opt;
       opt.seed = ctx.seed;
-      opt.force = sim::FluidOptions::ForceScheme::kA;
+      opt.force = sim::Scheme::kSchemeA;
       const double la =
           sim::evaluate_capacity(ctx.params, opt).lambda_symmetric;
-      opt.force = sim::FluidOptions::ForceScheme::kB;
+      opt.force = sim::Scheme::kSchemeB;
       const double lb =
           sim::evaluate_capacity(ctx.params, opt).lambda_symmetric;
       return std::max(la, lb);
@@ -106,9 +106,9 @@ int main(int argc, char** argv) {
       sim::FluidOptions opt;
       opt.seed = sim::trial_seed(sopt.seed0, sweep_sizes.size() - 1,
                                  sweep_trials - 1);
-      opt.force = sim::FluidOptions::ForceScheme::kA;
+      opt.force = sim::Scheme::kSchemeA;
       last_a = sim::evaluate_capacity(pl, opt).lambda_symmetric;
-      opt.force = sim::FluidOptions::ForceScheme::kB;
+      opt.force = sim::Scheme::kSchemeB;
       last_b = sim::evaluate_capacity(pl, opt).lambda_symmetric;
     }
     const double theory =

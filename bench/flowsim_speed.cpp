@@ -38,20 +38,6 @@
 namespace {
 using namespace manetcap;
 
-sim::FlowScheme flow_scheme_of(sim::SlotScheme s) {
-  switch (s) {
-    case sim::SlotScheme::kSchemeA:
-      return sim::FlowScheme::kSchemeA;
-    case sim::SlotScheme::kTwoHop:
-      return sim::FlowScheme::kTwoHop;
-    case sim::SlotScheme::kSchemeB:
-      return sim::FlowScheme::kSchemeB;
-    case sim::SlotScheme::kSchemeC:
-      return sim::FlowScheme::kSchemeC;
-  }
-  return sim::FlowScheme::kSchemeA;
-}
-
 /// Accepted fluid/slots mean-rate band per golden scenario. The bands are
 /// behavioural contracts, not noise margins: a fluid rate that drifts out
 /// of band means one engine's model changed (e.g. the wired-credit pacing
@@ -60,19 +46,21 @@ struct Band {
   double lo, hi;
 };
 
-Band band_of(sim::SlotScheme s) {
+Band band_of(sim::Scheme s) {
   switch (s) {
-    case sim::SlotScheme::kSchemeA:
+    case sim::Scheme::kSchemeA:
       return {0.8, 4.0};  // relaxation: fluid ≥ packet, bounded contention
-    case sim::SlotScheme::kTwoHop:
+    case sim::Scheme::kTwoHop:
       return {1.0, 12.0};  // random matching leaves most of the bound unused
-    case sim::SlotScheme::kSchemeB:
+    case sim::Scheme::kSchemeB:
       // Same credit pacing both sides, but fluid pins each flow to ONE
       // wired edge while the packet engine round-robins over the serving
       // set — at golden-trace sizes that costs up to ~2x.
       return {0.35, 2.5};
-    case sim::SlotScheme::kSchemeC:
+    case sim::Scheme::kSchemeC:
       return {0.25, 2.0};  // duty-cycle law is conservative vs list schedule
+    case sim::Scheme::kStaticMultihop:
+      break;  // no packet engine to compare against
   }
   return {0.0, 1e9};
 }
@@ -114,7 +102,7 @@ int main(int argc, char** argv) {
     const double slots_wall = sw.seconds();
 
     sim::FlowSimOptions fopt;
-    fopt.scheme = flow_scheme_of(spec.scheme);
+    fopt.scheme = spec.scheme;
     fopt.slots = spec.slots;
     fopt.warmup = spec.warmup;
     fopt.seed = spec.sim_seed;

@@ -50,7 +50,7 @@ struct BackendRun {
 
 BackendRun run_backend(const net::Network& net,
                        const std::vector<std::uint32_t>& dest,
-                       sim::SlotScheme scheme, std::size_t slots,
+                       sim::Scheme scheme, std::size_t slots,
                        phy::PhyKind kind) {
   sim::SlotSimOptions opt;
   opt.scheme = scheme;
@@ -97,10 +97,10 @@ int main(int argc, char** argv) {
   bool ok = true;
 
   const struct {
-    sim::SlotScheme scheme;
+    sim::Scheme scheme;
     bool with_bs;
-  } cases[] = {{sim::SlotScheme::kSchemeA, false},
-               {sim::SlotScheme::kSchemeB, true}};
+  } cases[] = {{sim::Scheme::kSchemeA, false},
+               {sim::Scheme::kSchemeB, true}};
   for (const auto& c : cases) {
     net::ScalingParams p;
     p.n = n;

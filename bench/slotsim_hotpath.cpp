@@ -29,6 +29,7 @@
 #include "net/network.h"
 #include "net/traffic.h"
 #include "rng/rng.h"
+#include "sim/engine.h"
 #include "sim/slotsim.h"
 #include "sim/slotsim_reference.h"
 #include "sim/sweep.h"
@@ -40,14 +41,6 @@
 
 namespace {
 using namespace manetcap;
-
-sim::SlotScheme scheme_from(const std::string& s) {
-  if (s == "A") return sim::SlotScheme::kSchemeA;
-  if (s == "B") return sim::SlotScheme::kSchemeB;
-  if (s == "C") return sim::SlotScheme::kSchemeC;
-  if (s == "twohop") return sim::SlotScheme::kTwoHop;
-  throw std::runtime_error("unknown scheme: " + s);
-}
 
 bool bits_equal(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
@@ -100,15 +93,15 @@ int main(int argc, char** argv) {
   p.M = 1.0;
 
   sim::SlotSimOptions opt;
-  opt.scheme = scheme_from(flags.get_string("scheme", "B"));
+  opt.scheme = sim::parse_scheme(flags.get_string("scheme", "B"));
   opt.slots = static_cast<std::size_t>(flags.get_int("slots",
                                                      smoke ? 800 : 4000));
   opt.warmup = opt.slots / 10;
   opt.seed = 1;
 
-  auto placement = opt.scheme == sim::SlotScheme::kSchemeC && !p.cluster_free()
-                       ? net::BsPlacement::kClusterGrid
-                       : net::BsPlacement::kClusteredMatched;
+  const auto placement = sim::engine_placement(
+      p, opt.scheme == sim::Scheme::kSchemeC,
+      net::BsPlacement::kClusteredMatched);
   auto net = net::Network::build(p, mobility::ShapeKind::kUniformDisk,
                                  placement, opt.seed);
   rng::Xoshiro256 g(sim::traffic_seed(opt.seed));

@@ -123,7 +123,7 @@ int main(int argc, char** argv) {
   }
 
   sim::SlotSimOptions base;
-  base.scheme = sim::SlotScheme::kSchemeB;
+  base.scheme = sim::Scheme::kSchemeB;
   base.slots =
       static_cast<std::size_t>(flags.get_int("slots", smoke ? 120 : 40));
   base.warmup = base.slots / 10;

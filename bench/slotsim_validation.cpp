@@ -9,11 +9,8 @@
 #include <vector>
 
 #include "net/traffic.h"
-#include "routing/scheme_a.h"
-#include "routing/scheme_b.h"
-#include "routing/scheme_c.h"
-#include "routing/two_hop.h"
 #include "rng/rng.h"
+#include "sim/scheme.h"
 #include "sim/slotsim.h"
 #include "sim/trace.h"
 #include "util/artifacts.h"
@@ -29,7 +26,7 @@ using namespace manetcap;
 struct Case {
   const char* name;
   net::ScalingParams params;
-  sim::SlotScheme scheme;
+  sim::Scheme scheme;
 };
 
 // "scheme-A n=512" → "scheme-A_n512" (artifact file stem).
@@ -60,7 +57,7 @@ int run_trace_overhead_check() {
   rng::Xoshiro256 g(103);
   const auto dest = net::permutation_traffic(p.n, g);
   sim::SlotSimOptions opt;
-  opt.scheme = sim::SlotScheme::kSchemeB;
+  opt.scheme = sim::Scheme::kSchemeB;
   opt.slots = 4000;
   opt.warmup = 400;
   opt.seed = 107;
@@ -116,9 +113,9 @@ int main(int argc, char** argv) {
     p.with_bs = false;
     p.M = 1.0;
     p.n = 512;
-    cases.push_back({"scheme-A n=512", p, sim::SlotScheme::kSchemeA});
+    cases.push_back({"scheme-A n=512", p, sim::Scheme::kSchemeA});
     p.n = 1024;
-    cases.push_back({"scheme-A n=1024", p, sim::SlotScheme::kSchemeA});
+    cases.push_back({"scheme-A n=1024", p, sim::Scheme::kSchemeA});
   }
   {
     net::ScalingParams p;
@@ -126,7 +123,7 @@ int main(int argc, char** argv) {
     p.with_bs = false;
     p.M = 1.0;
     p.n = 256;
-    cases.push_back({"two-hop n=256", p, sim::SlotScheme::kTwoHop});
+    cases.push_back({"two-hop n=256", p, sim::Scheme::kTwoHop});
   }
   {
     net::ScalingParams p;
@@ -136,9 +133,9 @@ int main(int argc, char** argv) {
     p.M = 1.0;
     p.phi = 0.0;
     p.n = 512;
-    cases.push_back({"scheme-B n=512", p, sim::SlotScheme::kSchemeB});
+    cases.push_back({"scheme-B n=512", p, sim::Scheme::kSchemeB});
     p.n = 1024;
-    cases.push_back({"scheme-B n=1024", p, sim::SlotScheme::kSchemeB});
+    cases.push_back({"scheme-B n=1024", p, sim::Scheme::kSchemeB});
   }
   {
     // Trivial regime (α > ½, see DESIGN.md) with the Definition 13
@@ -151,7 +148,7 @@ int main(int argc, char** argv) {
     p.R = 0.3;
     p.phi = 0.0;
     p.n = 1024;
-    cases.push_back({"scheme-C n=1024", p, sim::SlotScheme::kSchemeC});
+    cases.push_back({"scheme-C n=1024", p, sim::Scheme::kSchemeC});
   }
 
   // The slot simulator's *mean* flow rate is the typical-flow quantity, so
@@ -179,52 +176,22 @@ int main(int argc, char** argv) {
       const auto& c = cases[i];
       auto net = net::Network::build(
           c.params, mobility::ShapeKind::kUniformDisk,
-          c.scheme == sim::SlotScheme::kSchemeC
+          c.scheme == sim::Scheme::kSchemeC
               ? net::BsPlacement::kClusterGrid
               : net::BsPlacement::kClusteredMatched,
           101);
       rng::Xoshiro256 g(103);
       auto dest = net::permutation_traffic(c.params.n, g);
 
-      double strict = 0.0, symmetric = 0.0;
-      switch (c.scheme) {
-        case sim::SlotScheme::kSchemeA: {
-          routing::SchemeA a;
-          auto r = a.evaluate(net, dest);
-          strict = r.throughput.lambda;
-          symmetric = r.lambda_symmetric;
-          break;
-        }
-        case sim::SlotScheme::kTwoHop: {
-          routing::TwoHopRelay th;
-          auto r = th.evaluate(net, dest);
-          strict = r.throughput.lambda;
-          symmetric = r.lambda_symmetric;
-          break;
-        }
-        case sim::SlotScheme::kSchemeB: {
-          routing::SchemeB b;
-          auto r = b.evaluate(net, dest);
-          strict = r.throughput.lambda;
-          symmetric = r.lambda_symmetric;
-          break;
-        }
-        case sim::SlotScheme::kSchemeC: {
-          routing::SchemeC c2;
-          auto r = c2.evaluate(net, dest);
-          strict = r.throughput.lambda;
-          symmetric = r.lambda_symmetric;
-          break;
-        }
-      }
+      const auto fluid = sim::evaluate_scheme(net, dest, c.scheme);
 
       sim::SlotSimOptions opt;
       opt.scheme = c.scheme;
       opt.slots = 4000;
       opt.warmup = 400;
       opt.seed = 107;
-      results[i].strict = strict;
-      results[i].symmetric = symmetric;
+      results[i].strict = fluid.throughput.lambda;
+      results[i].symmetric = fluid.lambda_symmetric;
       results[i].metrics.enable_series(opt.slots);
       opt.metrics = &results[i].metrics;
       if (with_trace) opt.trace = &results[i].trace;
@@ -317,7 +284,7 @@ int main(int argc, char** argv) {
     pool.for_each_index(mobs.size(),
                         [&mobs, &mob_results, &net, &dest](std::size_t i) {
                           sim::SlotSimOptions opt;
-                          opt.scheme = sim::SlotScheme::kSchemeA;
+                          opt.scheme = sim::Scheme::kSchemeA;
                           opt.mobility = mobs[i];
                           opt.slots = 4000;
                           opt.warmup = 400;

@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
                  "p10 flow", "S* pairs/slot"});
 
   auto run = [&](const char* name, const net::ScalingParams& p,
-                 sim::SlotScheme scheme, sim::SlotMobility mob,
+                 sim::Scheme scheme, sim::SlotMobility mob,
                  const char* mob_name) {
     auto net = net::Network::build(p, mobility::ShapeKind::kTriangular,
                                    net::BsPlacement::kClusteredMatched, 17);
@@ -64,17 +64,17 @@ int main(int argc, char** argv) {
 
   // Pure ad hoc, three mobility processes (the law only cares about the
   // stationary distribution — Lemma 2).
-  run("ad hoc scheme A", adhoc, sim::SlotScheme::kSchemeA,
+  run("ad hoc scheme A", adhoc, sim::Scheme::kSchemeA,
       sim::SlotMobility::kIid, "iid");
-  run("ad hoc scheme A", adhoc, sim::SlotScheme::kSchemeA,
+  run("ad hoc scheme A", adhoc, sim::Scheme::kSchemeA,
       sim::SlotMobility::kWalk, "bounded walk");
-  run("ad hoc scheme A", adhoc, sim::SlotScheme::kSchemeA,
+  run("ad hoc scheme A", adhoc, sim::Scheme::kSchemeA,
       sim::SlotMobility::kPullHome, "AR(1) pull");
   // Two-hop relay cannot bridge depots farther than the mobility disk.
-  run("two-hop relay", adhoc, sim::SlotScheme::kTwoHop,
+  run("two-hop relay", adhoc, sim::Scheme::kTwoHop,
       sim::SlotMobility::kIid, "iid");
   // Roadside units + wires.
-  run("hybrid scheme B", hybrid, sim::SlotScheme::kSchemeB,
+  run("hybrid scheme B", hybrid, sim::Scheme::kSchemeB,
       sim::SlotMobility::kIid, "iid");
 
   t.print(std::cout);

@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
   rng::Xoshiro256 g(43);
   auto dest = net::permutation_traffic(small.n, g);
   sim::SlotSimOptions sopt;
-  sopt.scheme = sim::SlotScheme::kSchemeB;
+  sopt.scheme = sim::Scheme::kSchemeB;
   sopt.slots = 2000;
   sopt.warmup = 200;
   sopt.seed = 44;

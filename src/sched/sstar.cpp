@@ -24,12 +24,6 @@ std::vector<phy::Transmission> SStarScheduler::feasible_pairs(
   const double guard = (1.0 + delta_) * range_for(pos.size());
   geom::SpatialHash hash(guard, pos.size());
   hash.build(pos);
-  return feasible_pairs(pos, hash, stats, model);
-}
-
-std::vector<phy::Transmission> SStarScheduler::feasible_pairs(
-    const std::vector<geom::Point>& pos, const geom::SpatialHash& hash,
-    ScheduleStats* stats, const phy::InterferenceModel* model) const {
   Workspace ws;
   feasible_pairs_into(pos, hash, ws, stats, model);
   return std::move(ws.pairs);

@@ -62,20 +62,15 @@ class SStarScheduler {
   /// `model`, when non-null and non-protocol, re-evaluates the S* pair
   /// set under that interference backend (docs/PHY.md) — the surviving
   /// subset, in the same order, is returned. Null or the protocol backend
-  /// takes exactly the historical code path.
+  /// takes exactly the historical code path. Builds a spatial hash over
+  /// `pos` and runs feasible_pairs_into.
   std::vector<phy::Transmission> feasible_pairs(
       const std::vector<geom::Point>& pos, ScheduleStats* stats = nullptr,
       const phy::InterferenceModel* model = nullptr) const;
 
-  /// Same, but reuses an already-built spatial hash over `pos`.
-  std::vector<phy::Transmission> feasible_pairs(
-      const std::vector<geom::Point>& pos, const geom::SpatialHash& hash,
-      ScheduleStats* stats = nullptr,
-      const phy::InterferenceModel* model = nullptr) const;
-
   /// Hot-path form: reuses both an externally maintained spatial hash over
   /// `pos` and the caller's Workspace. Returns ws.pairs by reference; the
-  /// pair set and order are identical to the allocating overloads. Zero
+  /// pair set and order are identical to feasible_pairs(). Zero
   /// allocations at steady state. It is the three phases below with one
   /// stripe covering every bucket row.
   const std::vector<phy::Transmission>& feasible_pairs_into(

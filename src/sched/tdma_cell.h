@@ -1,12 +1,13 @@
 // Cell-based TDMA activation.
 //
-// Used by optimal routing & scheduling scheme C (Definition 13): cells are
-// arranged into non-interfering groups (a bounded-degree vertex coloring,
-// Theorem 9) and the groups are activated round-robin, so each cell is
-// active a constant fraction 1/num_colors of the time.
+// Models the schedule of scheme C (Definition 13): cells are arranged into
+// non-interfering groups (a bounded-degree vertex coloring, Theorem 9) and
+// the groups are activated round-robin, so each cell is active a constant
+// fraction 1/num_colors of the time.
 //
-// The same machinery schedules squarelet activation in the slot-level
-// simulator for scheme A.
+// No engine uses it: routing::SchemeC derives duty cycles from cell
+// degrees, and the slot-level simulator colours scheme C's cells itself
+// (sim::build_cells_and_colors).
 #pragma once
 
 #include <cstdint>

@@ -3,7 +3,6 @@
 #include <memory>
 #include <stdexcept>
 
-#include "capacity/regimes.h"
 #include "mobility/process.h"
 #include "net/traffic.h"
 #include "rng/rng.h"
@@ -29,39 +28,6 @@ EngineKind parse_engine(const std::string& s) {
   if (s == "auto") return EngineKind::kAuto;
   throw std::runtime_error("unknown engine: " + s +
                            " (expected fluid|slots|auto)");
-}
-
-FlowScheme flow_scheme_for(const net::ScalingParams& params) {
-  const auto regime = capacity::classify(params);
-  if (!params.with_bs) {
-    return regime == capacity::MobilityRegime::kStrong
-               ? FlowScheme::kSchemeA
-               : FlowScheme::kStaticMultihop;
-  }
-  switch (regime) {
-    case capacity::MobilityRegime::kStrong:
-      return FlowScheme::kSchemeA;
-    case capacity::MobilityRegime::kWeak:
-      return FlowScheme::kSchemeB;
-    case capacity::MobilityRegime::kTrivial:
-      return FlowScheme::kSchemeC;
-  }
-  return FlowScheme::kSchemeA;
-}
-
-SlotScheme slot_scheme_for(const net::ScalingParams& params) {
-  // The packet engine has no static-multihop; pure ad hoc networks fall
-  // back to scheme A regardless of regime.
-  if (!params.with_bs) return SlotScheme::kSchemeA;
-  switch (capacity::classify(params)) {
-    case capacity::MobilityRegime::kStrong:
-      return SlotScheme::kSchemeA;
-    case capacity::MobilityRegime::kWeak:
-      return SlotScheme::kSchemeB;
-    case capacity::MobilityRegime::kTrivial:
-      return SlotScheme::kSchemeC;
-  }
-  return SlotScheme::kSchemeA;
 }
 
 net::BsPlacement engine_placement(const net::ScalingParams& params,
@@ -100,29 +66,54 @@ double sinr_survival_ratio(const net::Network& net, phy::PhyKind kind,
   return static_cast<double>(kept) / static_cast<double>(total);
 }
 
+FlowSimResult run_flow_sim_derated(
+    const std::function<FlowSimResult(const FlowSimOptions&)>& run,
+    FlowSimOptions opt, double survival) {
+  if (survival == 0.0) return {};  // no wireless pair ever clears β
+  // Schemes A and B model the derate exactly: bandwidth_share cuts their
+  // wireless legs and leaves the wires untouched. Two-hop and static
+  // multihop are wireless-only, so a uniform capacity derate scales their
+  // achieved rates linearly; apply it to the result instead.
+  const bool shares =
+      opt.scheme == Scheme::kSchemeA || opt.scheme == Scheme::kSchemeB;
+  opt.bandwidth_share = shares ? survival : 1.0;
+  FlowSimResult r = run(opt);
+  if (!shares) {
+    r.mean_flow_rate *= survival;
+    r.min_flow_rate *= survival;
+    r.p10_flow_rate *= survival;
+    r.lambda_strict *= survival;
+  }
+  return r;
+}
+
 double measure_instance(EngineKind kind, const EvalContext& ctx,
                         const EngineOptions& opt) {
   if (kind == EngineKind::kAuto) {
     kind = ctx.params.n < opt.auto_threshold ? EngineKind::kSlots
                                              : EngineKind::kFluid;
   }
-  const auto regime = capacity::classify(ctx.params);
+  Scheme scheme = select_scheme(ctx.params);
+  // The packet engine has no static multihop; pure ad hoc networks run
+  // scheme A there regardless of regime.
+  if (kind == EngineKind::kSlots && scheme == Scheme::kStaticMultihop)
+    scheme = Scheme::kSchemeA;
+  const auto placement = engine_placement(
+      ctx.params, scheme == Scheme::kSchemeC, opt.placement);
+  const auto net =
+      net::Network::build(ctx.params, opt.shape, placement, ctx.seed);
+  rng::Xoshiro256 g(traffic_seed(ctx.seed));
+  // The default spec takes the historical dest-overload path exactly; a
+  // custom spec draws its demand set from the same canonical traffic seed,
+  // so fluid and slots measure the same workload instance.
+  std::vector<net::FlowDemand> demands;
+  std::vector<std::uint32_t> dest;
+  if (opt.traffic.is_default())
+    dest = net::permutation_traffic(ctx.params.n, g);
+  else
+    demands = net::make_traffic_model(opt.traffic)->draw(ctx.params.n, g);
+
   if (kind == EngineKind::kFluid) {
-    const FlowScheme scheme = flow_scheme_for(ctx.params);
-    const auto placement = engine_placement(
-        ctx.params, scheme == FlowScheme::kSchemeC, opt.placement);
-    const auto net =
-        net::Network::build(ctx.params, opt.shape, placement, ctx.seed);
-    rng::Xoshiro256 g(traffic_seed(ctx.seed));
-    // The default spec takes the historical dest-overload path exactly; a
-    // custom spec draws its demand set from the same canonical traffic
-    // seed, so fluid and slots measure the same workload instance.
-    std::vector<net::FlowDemand> demands;
-    std::vector<std::uint32_t> dest;
-    if (opt.traffic.is_default())
-      dest = net::permutation_traffic(ctx.params.n, g);
-    else
-      demands = net::make_traffic_model(opt.traffic)->draw(ctx.params.n, g);
     const auto run = [&](const FlowSimOptions& o) {
       return opt.traffic.is_default() ? run_flow_sim(net, dest, o)
                                       : run_flow_sim(net, demands, o);
@@ -131,9 +122,7 @@ double measure_instance(EngineKind kind, const EvalContext& ctx,
     fopt.slots = opt.slots;
     fopt.warmup = opt.warmup;
     fopt.faults = opt.faults;
-    fopt.grouping = regime == capacity::MobilityRegime::kWeak
-                        ? routing::BsGrouping::kCluster
-                        : routing::BsGrouping::kSquarelet;
+    fopt.grouping = bs_grouping(ctx.params);
     fopt.seed = ctx.seed;
     fopt.metrics = ctx.metrics;
     // Non-protocol backends derate the fluid engine's wireless capacities
@@ -141,43 +130,25 @@ double measure_instance(EngineKind kind, const EvalContext& ctx,
     // Scheme C runs under the protocol model by design — see
     // EngineOptions::phy — so it takes no derate.
     const double survival =
-        scheme == FlowScheme::kSchemeC
+        scheme == Scheme::kSchemeC
             ? 1.0
             : sinr_survival_ratio(net, opt.phy, opt.sinr,
                                   trial_seed(ctx.seed, 0, 2));
-    if (survival == 0.0) return 0.0;  // no wireless pair ever clears β
-    auto mean_rate = [&](FlowScheme s) {
+    auto mean_rate = [&](Scheme s) {
       fopt.scheme = s;
-      // Schemes A and B model the derate exactly (bandwidth_share cuts the
-      // wireless legs, wires untouched). Two-hop and static multihop are
-      // wireless-only, so a uniform capacity derate scales the achieved
-      // rate linearly — apply it to the result instead.
-      const bool shares = s == FlowScheme::kSchemeA || s == FlowScheme::kSchemeB;
-      fopt.bandwidth_share = shares ? survival : 1.0;
-      auto r = run(fopt);
+      FlowSimResult r = run_flow_sim_derated(run, fopt, survival);
       // Scheme A degenerates below the minimum grid; the paper's answer
       // (and fluid's) is the two-hop fallback, not a zero.
-      if (s == FlowScheme::kSchemeA && r.degenerate) {
-        fopt.scheme = FlowScheme::kTwoHop;
-        fopt.bandwidth_share = 1.0;
-        return run(fopt).mean_flow_rate * survival;
+      if (r.degenerate) {
+        fopt.scheme = Scheme::kTwoHop;
+        r = run_flow_sim_derated(run, fopt, survival);
       }
-      return shares ? r.mean_flow_rate : r.mean_flow_rate * survival;
+      return r.mean_flow_rate;
     };
-    // Strong regime with infrastructure: schemes A and B time-share, so the
-    // hybrid rate is the sum — the same composition the fluid closed form
-    // uses (λ = λ_A + λ_B).
-    if (regime == capacity::MobilityRegime::kStrong && ctx.params.with_bs)
-      return mean_rate(FlowScheme::kSchemeA) +
-             mean_rate(FlowScheme::kSchemeB);
-    return mean_rate(scheme);
+    double lambda = mean_rate(scheme);
+    if (strong_hybrid(ctx.params)) lambda += mean_rate(Scheme::kSchemeB);
+    return lambda;
   }
-  const SlotScheme scheme = slot_scheme_for(ctx.params);
-  const auto placement = engine_placement(
-      ctx.params, scheme == SlotScheme::kSchemeC, opt.placement);
-  const auto net =
-      net::Network::build(ctx.params, opt.shape, placement, ctx.seed);
-  rng::Xoshiro256 g(traffic_seed(ctx.seed));
   SlotSimOptions sopt;
   sopt.scheme = scheme;
   sopt.slots = opt.slots;
@@ -188,16 +159,11 @@ double measure_instance(EngineKind kind, const EvalContext& ctx,
   // Scheme C is TDMA-scheduled (no per-slot S* geometry), so the engine
   // layer pins it to the protocol model rather than letting SlotSim reject
   // the combination — the sweep can then mix regimes under one --phy flag.
-  sopt.phy = scheme == SlotScheme::kSchemeC ? phy::PhyKind::kProtocol
-                                            : opt.phy;
+  sopt.phy = scheme == Scheme::kSchemeC ? phy::PhyKind::kProtocol : opt.phy;
   sopt.sinr = opt.sinr;
-  if (!opt.traffic.is_default()) {
-    const auto demands =
-        net::make_traffic_model(opt.traffic)->draw(ctx.params.n, g);
-    return run_slot_sim(net, demands, sopt).mean_flow_rate;
-  }
-  const auto dest = net::permutation_traffic(ctx.params.n, g);
-  return run_slot_sim(net, dest, sopt).mean_flow_rate;
+  return (opt.traffic.is_default() ? run_slot_sim(net, dest, sopt)
+                                   : run_slot_sim(net, demands, sopt))
+      .mean_flow_rate;
 }
 
 SweepEvaluator make_engine_evaluator(EngineKind kind,

@@ -9,10 +9,12 @@
 // a modeling difference, never a sampling one.
 #pragma once
 
+#include <functional>
 #include <string>
 
 #include "net/network.h"
 #include "sim/flowsim.h"
+#include "sim/scheme.h"
 #include "sim/slotsim.h"
 #include "sim/sweep.h"
 
@@ -70,21 +72,25 @@ double sinr_survival_ratio(const net::Network& net, phy::PhyKind kind,
                            const phy::SinrParams& sinr, std::uint64_t seed,
                            std::size_t snapshots = 32);
 
-/// Paper-optimal scheme for the regime, restricted to what each engine
-/// implements. The two functions agree wherever both engines support the
-/// scheme, so cross-engine comparisons run the same routing.
-FlowScheme flow_scheme_for(const net::ScalingParams& params);
-SlotScheme slot_scheme_for(const net::ScalingParams& params);
+/// FlowSim under a wireless pair-survival ratio `survival` (see
+/// sinr_survival_ratio): schemes A and B carry it as their
+/// bandwidth_share, the wireless-only schemes run at full share and their
+/// rates scale by it. `run` runs FlowSim on the caller's traffic. At
+/// survival 0 no pair clears β, nothing runs and the result is all zero.
+FlowSimResult run_flow_sim_derated(
+    const std::function<FlowSimResult(const FlowSimOptions&)>& run,
+    FlowSimOptions opt, double survival);
 
-/// BS placement actually used for an instance (mirrors the CLI rules:
-/// no BSs → uniform; clustered scheme C → cluster grid; else `base`).
+/// BS placement actually used for an instance: no BSs → uniform;
+/// clustered scheme C → cluster grid; else `base`.
 net::BsPlacement engine_placement(const net::ScalingParams& params,
                                   bool scheme_c, net::BsPlacement base);
 
 /// Builds the instance for `ctx` and measures its mean per-flow rate
-/// (packets/slot) under the chosen engine. kAuto resolves per instance
-/// from ctx.params.n. ctx.metrics (when set) receives the engine's audit
-/// counters.
+/// (packets/slot) under the chosen engine, with the regime's scheme
+/// (select_scheme; the strong hybrid sums A and B on the fluid engine).
+/// kAuto resolves per instance from ctx.params.n. ctx.metrics (when set)
+/// receives the engine's audit counters.
 double measure_instance(EngineKind kind, const EvalContext& ctx,
                         const EngineOptions& opt);
 

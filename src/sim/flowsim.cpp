@@ -7,31 +7,11 @@
 
 #include "analysis/stats.h"
 #include "routing/rate_structure.h"
-#include "routing/scheme_a.h"
-#include "routing/scheme_c.h"
-#include "routing/static_multihop.h"
-#include "routing/two_hop.h"
 #include "sim/route_tables.h"
 #include "sim/wire_credit.h"
 #include "util/check.h"
 
 namespace manetcap::sim {
-
-std::string to_string(FlowScheme s) {
-  switch (s) {
-    case FlowScheme::kSchemeA:
-      return "scheme-A";
-    case FlowScheme::kTwoHop:
-      return "two-hop";
-    case FlowScheme::kSchemeB:
-      return "scheme-B";
-    case FlowScheme::kSchemeC:
-      return "scheme-C";
-    case FlowScheme::kStaticMultihop:
-      return "static-multihop";
-  }
-  return "?";
-}
 
 namespace {
 
@@ -146,46 +126,14 @@ FlowSimResult run_flow_sim_impl(const net::Network& net,
   routing::RateStructure rs;
   FlowSimResult res;
   res.measured_slots = opt.slots - opt.warmup;
-  flow::ThroughputResult tp;
-  switch (opt.scheme) {
-    case FlowScheme::kSchemeA: {
-      const auto r = routing::SchemeA().evaluate(net, dest, nullptr,
-                                                 opt.bandwidth_share, &rs);
-      tp = r.throughput;
-      res.lambda_symmetric = r.lambda_symmetric;
-      res.degenerate = r.degenerate;
-      break;
-    }
-    case FlowScheme::kTwoHop: {
-      const auto r = routing::TwoHopRelay().evaluate(net, dest, &rs);
-      tp = r.throughput;
-      res.lambda_symmetric = r.lambda_symmetric;
-      break;
-    }
-    case FlowScheme::kSchemeB: {
-      const auto r = routing::SchemeB(opt.grouping)
-                         .evaluate(net, dest, nullptr, opt.bandwidth_share,
-                                   &rs);
-      tp = r.throughput;
-      res.lambda_symmetric = r.lambda_symmetric;
-      break;
-    }
-    case FlowScheme::kSchemeC: {
-      const auto r = routing::SchemeC(opt.delta).evaluate(net, dest, &rs);
-      tp = r.throughput;
-      res.lambda_symmetric = r.lambda_symmetric;
-      break;
-    }
-    case FlowScheme::kStaticMultihop: {
-      const auto r = routing::StaticMultihop().evaluate(net, dest, &rs);
-      tp = r.throughput;
-      res.lambda_symmetric = r.lambda_symmetric;
-      break;
-    }
-  }
-  res.lambda_strict = tp.lambda;
-  res.bottleneck = tp.bottleneck;
-  res.bottleneck_label = tp.bottleneck_label;
+  const SchemeEval ev = evaluate_scheme(
+      net, dest, opt.scheme, {opt.grouping, opt.bandwidth_share, opt.delta},
+      &rs);
+  res.lambda_strict = ev.throughput.lambda;
+  res.lambda_symmetric = ev.lambda_symmetric;
+  res.bottleneck = ev.throughput.bottleneck;
+  res.bottleneck_label = ev.throughput.bottleneck_label;
+  res.degenerate = ev.degenerate;
 
   Metrics audit;
   if (opt.metrics != nullptr && opt.metrics->series_enabled())
@@ -217,11 +165,9 @@ FlowSimResult run_flow_sim_impl(const net::Network& net,
   std::vector<std::uint32_t> flow_edge;
   std::vector<std::uint64_t> edge_keys;
   WireCreditMap credit;
-  const bool infra = opt.scheme == FlowScheme::kSchemeB ||
-                     opt.scheme == FlowScheme::kSchemeC;
-  if (infra) {
+  if (uses_bs(opt.scheme)) {
     const ServingTables st =
-        opt.scheme == FlowScheme::kSchemeB
+        opt.scheme == Scheme::kSchemeB
             ? build_scheme_b_serving(net, opt.ct, opt.delta)
             : build_scheme_c_association(net);
     flow_edge.assign(n, kNoEdge);

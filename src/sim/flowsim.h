@@ -25,21 +25,12 @@
 #include "routing/scheme_b.h"
 #include "sim/faults.h"
 #include "sim/metrics.h"
+#include "sim/scheme.h"
 
 namespace manetcap::sim {
 
-enum class FlowScheme {
-  kSchemeA,         // squarelet H-V multihop over mobility
-  kTwoHop,          // Grossglauser–Tse two-hop relay
-  kSchemeB,         // uplink → wired backbone → downlink
-  kSchemeC,         // cellular TDMA + Valiant backbone
-  kStaticMultihop,  // static baseline (mobility off)
-};
-
-std::string to_string(FlowScheme s);
-
 struct FlowSimOptions {
-  FlowScheme scheme = FlowScheme::kSchemeA;
+  Scheme scheme = Scheme::kSchemeA;
   std::size_t slots = 4000;   // simulated horizon, in SlotSim slots
   std::size_t warmup = 400;   // rate measurement starts here
   std::size_t epoch_slots = 64;  // rate/credit update granularity

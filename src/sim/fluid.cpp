@@ -1,46 +1,26 @@
 #include "sim/fluid.h"
 
 #include "net/traffic.h"
-#include "routing/scheme_a.h"
-#include "routing/scheme_b.h"
-#include "routing/scheme_c.h"
-#include "routing/static_multihop.h"
-#include "routing/two_hop.h"
 #include "sim/sweep.h"
-#include "util/check.h"
 
 namespace manetcap::sim {
 
 namespace {
 
-/// (strict, symmetric) λ of a scheme evaluation plus the constraint that
-/// bound it — bottlenecks ride along with the rates they explain instead
-/// of being re-guessed by the caller.
-struct Lambda {
-  double strict = 0.0;
-  double symmetric = 0.0;
-  flow::Resource bottleneck = flow::Resource::kWirelessRelay;
-  std::string label;
-};
-
-Lambda from(const flow::ThroughputResult& tp, double symmetric) {
-  return {tp.lambda, symmetric, tp.bottleneck, tp.bottleneck_label};
-}
-
-/// Scheme A with automatic two-hop fallback when the grid degenerates.
-Lambda adhoc_lambda(const net::Network& net,
-                    const std::vector<std::uint32_t>& dest,
-                    std::string* scheme_label) {
-  routing::SchemeA a;
-  const auto ra = a.evaluate(net, dest);
-  if (!ra.degenerate) {
-    if (scheme_label) *scheme_label = "scheme-A";
-    return from(ra.throughput, ra.lambda_symmetric);
+/// What the label of a regime-selected scheme adds to its name.
+const char* selected_note(Scheme s) {
+  switch (s) {
+    case Scheme::kSchemeB:
+      return " (clusters as subnets)";
+    case Scheme::kSchemeC:
+      return " (cellular TDMA)";
+    case Scheme::kStaticMultihop:
+      return " (no BSs)";
+    case Scheme::kSchemeA:
+    case Scheme::kTwoHop:
+      break;
   }
-  routing::TwoHopRelay th;
-  const auto rt = th.evaluate(net, dest);
-  if (scheme_label) *scheme_label = "two-hop";
-  return from(rt.throughput, rt.lambda_symmetric);
+  return "";
 }
 
 }  // namespace
@@ -63,143 +43,64 @@ FluidOutcome evaluate_capacity(const net::Network& net,
 
   FluidOutcome out;
   out.regime = capacity::classify(params);
+  const SchemeArgs args{bs_grouping(params)};
 
-  auto set_adhoc = [&out](const Lambda& l, std::string scheme) {
-    out.lambda = out.lambda_adhoc = l.strict;
-    out.lambda_symmetric = l.symmetric;
-    out.bottleneck = l.bottleneck;
-    out.bottleneck_label = l.label;
-    out.scheme = std::move(scheme);
-  };
-  auto set_infra = [&out](const Lambda& l, std::string scheme) {
-    out.lambda = out.lambda_infra = l.strict;
-    out.lambda_symmetric = l.symmetric;
-    out.bottleneck = l.bottleneck;
-    out.bottleneck_label = l.label;
-    out.scheme = std::move(scheme);
+  // One scheme sets the outcome; its λ is the infrastructure or the ad hoc
+  // component. Bottlenecks ride along with the rates they explain instead
+  // of being re-guessed here.
+  auto set = [&out](Scheme s, const SchemeEval& e, std::string label) {
+    (uses_bs(s) ? out.lambda_infra : out.lambda_adhoc) = e.throughput.lambda;
+    out.lambda = e.throughput.lambda;
+    out.lambda_symmetric = e.lambda_symmetric;
+    out.bottleneck = e.throughput.bottleneck;
+    out.bottleneck_label = e.throughput.bottleneck_label;
+    out.scheme = std::move(label);
   };
 
-  using Force = FluidOptions::ForceScheme;
-  if (options.force != Force::kAuto) {
-    switch (options.force) {
-      case Force::kA: {
-        routing::SchemeA a;
-        const auto r = a.evaluate(net, dest);
-        // A degenerate grid (side < kMinGrid) means scheme A cannot run at
-        // this size at all. Forcing it used to return the evaluator's
-        // defaults as if they were a real λ — surface the degeneracy
-        // instead: λ = 0 and a labeled outcome the caller can test for.
-        Lambda l = from(r.throughput, r.lambda_symmetric);
-        if (r.degenerate) l.strict = l.symmetric = 0.0;
-        set_adhoc(l, r.degenerate ? "scheme-A (forced, degenerate)"
-                                  : "scheme-A (forced)");
-        return out;
-      }
-      case Force::kB: {
-        // Same degeneracy contract as forced A: an infrastructure scheme
-        // forced onto a network without base stations cannot run — a
-        // labeled λ = 0 outcome, not a precondition failure.
-        if (net.num_bs() == 0) {
-          set_infra({0.0, 0.0, flow::Resource::kAccess, "no base stations"},
-                    "scheme-B (forced, degenerate)");
-          return out;
-        }
-        routing::SchemeB b(out.regime == capacity::MobilityRegime::kWeak
-                               ? routing::BsGrouping::kCluster
-                               : routing::BsGrouping::kSquarelet);
-        const auto r = b.evaluate(net, dest);
-        set_infra(from(r.throughput, r.lambda_symmetric),
-                  "scheme-B (forced)");
-        return out;
-      }
-      case Force::kC: {
-        if (net.num_bs() == 0) {
-          set_infra({0.0, 0.0, flow::Resource::kAccess, "no base stations"},
-                    "scheme-C (forced, degenerate)");
-          return out;
-        }
-        routing::SchemeC c;
-        const auto r = c.evaluate(net, dest);
-        set_infra(from(r.throughput, r.lambda_symmetric),
-                  "scheme-C (forced)");
-        return out;
-      }
-      case Force::kTwoHop: {
-        routing::TwoHopRelay th;
-        const auto r = th.evaluate(net, dest);
-        set_adhoc(from(r.throughput, r.lambda_symmetric),
-                  "two-hop (forced)");
-        return out;
-      }
-      case Force::kStaticMultihop: {
-        routing::StaticMultihop sm;
-        const auto r = sm.evaluate(net, dest);
-        set_adhoc(from(r.throughput, r.lambda_symmetric),
-                  "static-multihop (forced)");
-        return out;
-      }
-      case Force::kAuto:
-        break;
+  if (options.force) {
+    const Scheme s = *options.force;
+    // A scheme that cannot run here — an infrastructure scheme without
+    // BSs, or scheme A below its minimum grid — is a labeled λ = 0
+    // outcome the caller can test for, not a precondition failure and not
+    // the evaluator's defaults passed off as a real λ.
+    if (uses_bs(s) && net.num_bs() == 0) {
+      SchemeEval none;
+      none.throughput.bottleneck = flow::Resource::kAccess;
+      none.throughput.bottleneck_label = "no base stations";
+      set(s, none, to_string(s) + " (forced, degenerate)");
+      return out;
     }
+    SchemeEval e = evaluate_scheme(net, dest, s, args);
+    if (e.degenerate) e.throughput.lambda = e.lambda_symmetric = 0.0;
+    set(s, e,
+        to_string(s) + (e.degenerate ? " (forced, degenerate)" : " (forced)"));
+    return out;
   }
 
-  switch (out.regime) {
-    case capacity::MobilityRegime::kStrong: {
-      std::string adhoc_label;
-      const Lambda la = adhoc_lambda(net, dest, &adhoc_label);
-      out.lambda_adhoc = la.strict;
-      if (params.with_bs) {
-        routing::SchemeB b(routing::BsGrouping::kSquarelet);
-        const auto rb = b.evaluate(net, dest);
-        out.lambda_infra = rb.throughput.lambda;
-        out.scheme = adhoc_label + " + scheme-B";
-        // The hybrid's bottleneck is the larger component's actual binding
-        // constraint. The ad-hoc side's is NOT always kWirelessRelay: the
-        // two-hop fallback (and any future ad-hoc scheme) reports its own.
-        if (la.strict >= rb.throughput.lambda) {
-          out.bottleneck = la.bottleneck;
-          out.bottleneck_label = la.label;
-        } else {
-          out.bottleneck = rb.throughput.bottleneck;
-          out.bottleneck_label = rb.throughput.bottleneck_label;
-        }
-        out.lambda = la.strict + rb.throughput.lambda;
-        out.lambda_symmetric = la.symmetric + rb.lambda_symmetric;
-      } else {
-        set_adhoc(la, adhoc_label);
-        out.scheme = adhoc_label;
-      }
-      break;
-    }
-    case capacity::MobilityRegime::kWeak: {
-      if (params.with_bs) {
-        routing::SchemeB b(routing::BsGrouping::kCluster);
-        const auto rb = b.evaluate(net, dest);
-        set_infra(from(rb.throughput, rb.lambda_symmetric),
-                  "scheme-B (clusters as subnets)");
-      } else {
-        routing::StaticMultihop sm;
-        const auto r = sm.evaluate(net, dest);
-        set_adhoc(from(r.throughput, r.lambda_symmetric),
-                  "static-multihop (no BSs)");
-      }
-      break;
-    }
-    case capacity::MobilityRegime::kTrivial: {
-      if (params.with_bs) {
-        routing::SchemeC c;
-        const auto rc = c.evaluate(net, dest);
-        set_infra(from(rc.throughput, rc.lambda_symmetric),
-                  "scheme-C (cellular TDMA)");
-      } else {
-        routing::StaticMultihop sm;
-        const auto r = sm.evaluate(net, dest);
-        set_adhoc(from(r.throughput, r.lambda_symmetric),
-                  "static-multihop (no BSs)");
-      }
-      break;
-    }
+  Scheme s = select_scheme(params);
+  SchemeEval a = evaluate_scheme(net, dest, s, args);
+  if (a.degenerate) {  // scheme A at f(n) = Θ(1): two-hop relay instead
+    s = Scheme::kTwoHop;
+    a = evaluate_scheme(net, dest, s, args);
   }
+  if (!strong_hybrid(params)) {
+    set(s, a, to_string(s) + selected_note(s));
+    return out;
+  }
+  const SchemeEval b = evaluate_scheme(net, dest, Scheme::kSchemeB, args);
+  out.lambda_adhoc = a.throughput.lambda;
+  out.lambda_infra = b.throughput.lambda;
+  out.scheme = to_string(s) + " + scheme-B";
+  // The hybrid's bottleneck is the larger component's actual binding
+  // constraint. The ad-hoc side's is NOT always kWirelessRelay: the
+  // two-hop fallback (and any future ad-hoc scheme) reports its own.
+  const flow::ThroughputResult& binding =
+      a.throughput.lambda >= b.throughput.lambda ? a.throughput
+                                                 : b.throughput;
+  out.bottleneck = binding.bottleneck;
+  out.bottleneck_label = binding.bottleneck_label;
+  out.lambda = a.throughput.lambda + b.throughput.lambda;
+  out.lambda_symmetric = a.lambda_symmetric + b.lambda_symmetric;
   return out;
 }
 

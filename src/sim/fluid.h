@@ -1,24 +1,16 @@
 // End-to-end fluid capacity evaluation: sample an instance, pick the
-// paper's optimal scheme for its mobility regime, and measure the feasible
-// per-node rate λ.
-//
-// Scheme selection follows Sections IV–V:
-//   strong  → scheme A (mobility multihop) in parallel with scheme B over
-//             constant-area squarelets; λ = λ_A + λ_B (the two schemes
-//             time-share, matching Θ(1/f) + Θ(min(k²c/n, k/n))).
-//             When f(n) = Θ(1) scheme A degenerates to two-hop relay.
-//   weak    → scheme B with clusters as subnets (Theorem 7).
-//   trivial → scheme C cellular TDMA (Theorem 9).
-//   no BSs  → scheme A / two-hop (strong) or static cluster multihop
-//             (weak/trivial, Corollary 3).
+// paper's optimal scheme for its mobility regime (sim/scheme.h), and solve
+// the scheme's constraint rows for the feasible per-node rate λ.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "capacity/regimes.h"
 #include "flow/constraints.h"
 #include "net/network.h"
+#include "sim/scheme.h"
 
 namespace manetcap::sim {
 
@@ -27,9 +19,9 @@ struct FluidOptions {
   net::BsPlacement placement = net::BsPlacement::kClusteredMatched;
   std::uint64_t seed = 1;
 
-  /// Force a scheme instead of regime-based selection (ablations).
-  enum class ForceScheme { kAuto, kA, kB, kC, kTwoHop, kStaticMultihop };
-  ForceScheme force = ForceScheme::kAuto;
+  /// Force a scheme instead of regime-based selection (ablations); empty
+  /// selects the regime's scheme (sim::select_scheme).
+  std::optional<Scheme> force;
 };
 
 struct FluidOutcome {

@@ -23,20 +23,6 @@
 
 namespace manetcap::sim {
 
-std::string to_string(SlotScheme s) {
-  switch (s) {
-    case SlotScheme::kSchemeA:
-      return "scheme-A";
-    case SlotScheme::kTwoHop:
-      return "two-hop";
-    case SlotScheme::kSchemeB:
-      return "scheme-B";
-    case SlotScheme::kSchemeC:
-      return "scheme-C";
-  }
-  return "?";
-}
-
 namespace {
 
 std::unique_ptr<mobility::MobilityProcess> make_process(
@@ -64,10 +50,13 @@ std::unique_ptr<mobility::MobilityProcess> make_process(
 /// max_queue or inverted warmup/slots used to surface as undefined
 /// behavior (or a cryptic check) deep inside the run.
 void validate_options(const SlotSimOptions& opt) {
+  MANETCAP_CHECK_MSG(opt.scheme != Scheme::kStaticMultihop,
+                     "SlotSimOptions: scheme static-multihop has no packet "
+                     "engine; run it on the flow engine");
   // Shared (slots, warmup, phy, sinr) validation lives in the RunConfig
   // base — single point, named errors (sim/run_config.h).
   if (opt.phy != phy::PhyKind::kProtocol) {
-    MANETCAP_CHECK_MSG(opt.scheme != SlotScheme::kSchemeC,
+    MANETCAP_CHECK_MSG(opt.scheme != Scheme::kSchemeC,
                        "SlotSimOptions: --phy " << phy::to_string(opt.phy)
                            << " applies to the S*-driven schemes (A, "
                               "two-hop, B); scheme C's TDMA schedule has "
@@ -130,14 +119,8 @@ class SlotSim {
         // on any BS endpoint, so BS runs get capacity 0. At n = 10⁶ MSs
         // this is the difference between ~0.7 GB of dead MS slab and the
         // few MB the k BS queues actually need.
-        ms_cap_(opt.scheme == SlotScheme::kSchemeB ||
-                        opt.scheme == SlotScheme::kSchemeC
-                    ? 0
-                    : opt.max_queue),
-        bs_cap_(opt.scheme == SlotScheme::kSchemeB ||
-                        opt.scheme == SlotScheme::kSchemeC
-                    ? opt.max_queue
-                    : 0),
+        ms_cap_(uses_bs(opt.scheme) ? 0 : opt.max_queue),
+        bs_cap_(uses_bs(opt.scheme) ? opt.max_queue : 0),
         q_flow_(n_ * ms_cap_ + k_ * bs_cap_),
         q_hop_(n_ * ms_cap_ + k_ * bs_cap_),
         q_born_(n_ * ms_cap_ + k_ * bs_cap_),
@@ -193,8 +176,7 @@ class SlotSim {
     if (opt_.faults != nullptr && !opt_.faults->empty()) {
       opt_.faults->validate(k_, opt_.slots, n_);
       if (opt_.faults->has_infra()) {
-        MANETCAP_CHECK_MSG(opt_.scheme == SlotScheme::kSchemeB ||
-                               opt_.scheme == SlotScheme::kSchemeC,
+        MANETCAP_CHECK_MSG(uses_bs(opt_.scheme),
                            "FaultPlan: BS/wired faults require an "
                            "infrastructure scheme (B or C)");
         bs_alive_.assign(k_, 1);
@@ -232,9 +214,9 @@ class SlotSim {
     // the caller's Metrics absorbs it at end of run.
     if (opt_.metrics != nullptr && opt_.metrics->series_enabled())
       audit_.enable_series(opt_.slots, opt_.metrics->series_stride());
-    if (opt_.scheme == SlotScheme::kSchemeA) init_scheme_a();
-    if (opt_.scheme == SlotScheme::kSchemeB) init_scheme_b();
-    if (opt_.scheme == SlotScheme::kSchemeC) init_scheme_c();
+    if (opt_.scheme == Scheme::kSchemeA) init_scheme_a();
+    if (opt_.scheme == Scheme::kSchemeB) init_scheme_b();
+    if (opt_.scheme == Scheme::kSchemeC) init_scheme_c();
     // CSR offsets are uint32; at extreme n × path-length products the
     // flattened tables could outgrow them — fail at run start, not mid-run.
     MANETCAP_CHECK_MSG(path_cells_.size() <= 0xffffffffULL,
@@ -267,7 +249,7 @@ class SlotSim {
     // Only the S*-driven pipeline (schemes A/two-hop/B) has a scan phase
     // to stripe; scheme C is static TDMA and runs serial.
     const std::size_t shards =
-        opt_.scheme == SlotScheme::kSchemeC ? 1 : opt_.shards;
+        opt_.scheme == Scheme::kSchemeC ? 1 : opt_.shards;
 
     for (std::size_t t = t0; t < opt_.slots; ++t) {
       // A checkpoint taken here captures "state as of the end of slot
@@ -287,13 +269,13 @@ class SlotSim {
       // TDMA: a BS downed at slot t serves nothing at slot t, an MS
       // departing at slot t is a ghost from slot t on.
       if (faults_ != nullptr) apply_faults(t, process);
-      if (opt_.scheme == SlotScheme::kSchemeC) {
+      if (opt_.scheme == Scheme::kSchemeC) {
         // Static cellular TDMA (Definition 13): no S* — the active color
-        // group serves; "pairs" counts active cells for reporting.
+        // group serves; "pairs" counts active cells for reporting. Cells
+        // route over home points only, so no position is drawn.
         const std::size_t served = scheme_c_slot(t);
         if (measure) pair_count += served;
         wired_step(t);
-        process->step();
         audit_.sample_slot(slot_, in_network_, 0,
                            static_cast<std::uint32_t>(served),
                            static_cast<std::uint32_t>(live_bs_));
@@ -348,7 +330,7 @@ class SlotSim {
         transfer(pr.tx, pr.rx);
         transfer(pr.rx, pr.tx);
       }
-      if (opt_.scheme == SlotScheme::kSchemeB) wired_step(t);
+      if (opt_.scheme == Scheme::kSchemeB) wired_step(t);
       if (!stepped) process->step();
       audit_.sample_slot(slot_, in_network_,
                          static_cast<std::uint32_t>(pairs.size()), 0,
@@ -817,7 +799,7 @@ class SlotSim {
     for (std::uint32_t i = 0; i < n_; ++i) {
       const geom::Point home = net_.ms_home()[i];
       const std::size_t mark = new_ids.size();
-      if (opt_.scheme == SlotScheme::kSchemeB) {
+      if (opt_.scheme == Scheme::kSchemeB) {
         // Same inclusive predicate SpatialHash::visit_disk applies
         // (dist² <= contact²), so boundary MSs are not spuriously rehomed.
         for (std::uint32_t l = 0; l < k_; ++l)
@@ -885,7 +867,7 @@ class SlotSim {
       }
     }
 
-    if (opt_.scheme == SlotScheme::kSchemeC) rebuild_members_and_colors();
+    if (opt_.scheme == Scheme::kSchemeC) rebuild_members_and_colors();
   }
 
   /// One TDMA slot of scheme C: every cell of the active color serves one
@@ -934,16 +916,17 @@ class SlotSim {
   /// Moves at most one packet from `from` to `to` for the active scheme.
   void transfer(std::uint32_t from, std::uint32_t to) {
     switch (opt_.scheme) {
-      case SlotScheme::kSchemeA:
+      case Scheme::kSchemeA:
         transfer_scheme_a(from, to);
         break;
-      case SlotScheme::kTwoHop:
+      case Scheme::kTwoHop:
         transfer_two_hop(from, to);
         break;
-      case SlotScheme::kSchemeB:
+      case Scheme::kSchemeB:
         transfer_scheme_b(from, to);
         break;
-      case SlotScheme::kSchemeC:
+      case Scheme::kSchemeC:
+      case Scheme::kStaticMultihop:  // refused by validate_options
         break;  // scheme C never uses S* pairs (static TDMA)
     }
   }
@@ -1319,7 +1302,7 @@ class SlotSim {
     // Legacy "S* hash built" flag: true from the first S* slot on, which
     // every checkpoint of an S* scheme follows (checkpoints land at t ≥ 1).
     // The cell list is rebuilt every slot, so nothing reads it back.
-    out.push_back(opt_.scheme != SlotScheme::kSchemeC ? 1 : 0);
+    out.push_back(opt_.scheme != Scheme::kSchemeC ? 1 : 0);
     put_varint(out, pair_count);
     put_varint(out, in_network_);
     put_varint(out, rr_);
@@ -1604,7 +1587,7 @@ class SlotSim {
 
     // Derived state. Scheme C re-derives members and colors from the
     // restored association + liveness, exactly as rebuild_serving would.
-    if (opt_.scheme == SlotScheme::kSchemeC) rebuild_members_and_colors();
+    if (opt_.scheme == Scheme::kSchemeC) rebuild_members_and_colors();
     return t_next;
   }
 

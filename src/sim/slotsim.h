@@ -24,14 +24,11 @@
 #include "sim/faults.h"
 #include "sim/metrics.h"
 #include "sim/run_config.h"
+#include "sim/scheme.h"
 
 namespace manetcap::sim {
 
 class Trace;  // sim/trace.h — per-packet event capture
-
-enum class SlotScheme { kSchemeA, kTwoHop, kSchemeB, kSchemeC };
-
-std::string to_string(SlotScheme s);
 
 enum class SlotMobility { kIid, kWalk, kPullHome, kBrownian };
 
@@ -45,7 +42,7 @@ enum class SlotMobility { kIid, kWalk, kPullHome, kBrownian };
 /// TDMA-scheduled without instantaneous geometry and rejects a
 /// non-protocol backend with a named error.
 struct SlotSimOptions : RunConfig {
-  SlotScheme scheme = SlotScheme::kSchemeA;
+  Scheme scheme = Scheme::kSchemeA;  // every scheme but static multihop
   SlotMobility mobility = SlotMobility::kIid;
   double ct = 0.3;              // S* constant c_T (see LinkCapacityModel)
   double delta = 1.0;           // guard factor Δ

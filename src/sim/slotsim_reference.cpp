@@ -171,9 +171,9 @@ class SlotSim {
     // the caller's Metrics absorbs it at end of run.
     if (opt_.metrics != nullptr && opt_.metrics->series_enabled())
       audit_.enable_series(opt_.slots);
-    if (opt_.scheme == SlotScheme::kSchemeA) init_scheme_a();
-    if (opt_.scheme == SlotScheme::kSchemeB) init_scheme_b();
-    if (opt_.scheme == SlotScheme::kSchemeC) init_scheme_c();
+    if (opt_.scheme == Scheme::kSchemeA) init_scheme_a();
+    if (opt_.scheme == Scheme::kSchemeB) init_scheme_b();
+    if (opt_.scheme == Scheme::kSchemeC) init_scheme_c();
     if (opt_.trace != nullptr) capture_context(*opt_.trace);
   }
 
@@ -190,7 +190,7 @@ class SlotSim {
       }
 
       slot_ = static_cast<std::uint32_t>(t);
-      if (opt_.scheme == SlotScheme::kSchemeC) {
+      if (opt_.scheme == Scheme::kSchemeC) {
         // Static cellular TDMA (Definition 13): no S* — the active color
         // group serves; "pairs" counts active cells for reporting.
         const std::size_t served = scheme_c_slot(t);
@@ -217,7 +217,7 @@ class SlotSim {
         transfer(pr.tx, pr.rx);
         transfer(pr.rx, pr.tx);
       }
-      if (opt_.scheme == SlotScheme::kSchemeB) wired_step(t);
+      if (opt_.scheme == Scheme::kSchemeB) wired_step(t);
       process->step();
       audit_.sample_slot(slot_, in_network_,
                          static_cast<std::uint32_t>(pairs.size()), 0);
@@ -434,16 +434,17 @@ class SlotSim {
   /// Moves at most one packet from `from` to `to` for the active scheme.
   void transfer(std::uint32_t from, std::uint32_t to) {
     switch (opt_.scheme) {
-      case SlotScheme::kSchemeA:
+      case Scheme::kSchemeA:
         transfer_scheme_a(from, to);
         break;
-      case SlotScheme::kTwoHop:
+      case Scheme::kTwoHop:
         transfer_two_hop(from, to);
         break;
-      case SlotScheme::kSchemeB:
+      case Scheme::kSchemeB:
         transfer_scheme_b(from, to);
         break;
-      case SlotScheme::kSchemeC:
+      case Scheme::kSchemeC:
+      case Scheme::kStaticMultihop:
         break;  // scheme C never uses S* pairs (static TDMA)
     }
   }

@@ -184,7 +184,7 @@ Trace Trace::decode(const std::vector<std::uint8_t>& bytes) {
   ByteReader r{bytes, 8, body, "trace"};
   const std::uint8_t scheme = r.u8();
   MANETCAP_CHECK_MSG(scheme <= 3, "trace: invalid scheme id");
-  t.context.scheme = static_cast<SlotScheme>(scheme);
+  t.context.scheme = static_cast<Scheme>(scheme);
   const std::uint8_t mobility = r.u8();
   MANETCAP_CHECK_MSG(mobility <= 3, "trace: invalid mobility id");
   t.context.mobility = static_cast<SlotMobility>(mobility);
@@ -409,9 +409,8 @@ bool context_ok(const TraceContext& c, ViolationSink& sink) {
   if (c.dest.size() != c.n) return fail("dest size != n");
   for (std::uint32_t d : c.dest)
     if (d >= c.n) return fail("dest id out of range");
-  const bool infra =
-      c.scheme == SlotScheme::kSchemeB || c.scheme == SlotScheme::kSchemeC;
-  if (c.scheme == SlotScheme::kSchemeA) {
+  const bool infra = uses_bs(c.scheme);
+  if (c.scheme == Scheme::kSchemeA) {
     if (c.home_cell.size() != c.n) return fail("home_cell size != n");
     if (c.paths.size() != c.n) return fail("paths size != n");
     for (const auto& p : c.paths)
@@ -425,7 +424,7 @@ bool context_ok(const TraceContext& c, ViolationSink& sink) {
       for (std::uint32_t l : s)
         if (l < c.n || l >= c.n + c.k) return fail("serving id not a BS");
     }
-    if (c.scheme == SlotScheme::kSchemeC)
+    if (c.scheme == Scheme::kSchemeC)
       for (const auto& s : c.serving)
         if (s.size() != 1) return fail("scheme C association must be 1 BS");
   }
@@ -479,7 +478,7 @@ bool context_ok(const TraceContext& c, ViolationSink& sink) {
         for (std::uint32_t b : tf.rehomed_serving[j])
           if (b < c.n || b >= c.n + c.k)
             return fail("rehomed serving id not a BS");
-        if (c.scheme == SlotScheme::kSchemeC &&
+        if (c.scheme == Scheme::kSchemeC &&
             tf.rehomed_serving[j].size() != 1)
           return fail("scheme C re-home must be exactly 1 BS");
       }
@@ -758,8 +757,7 @@ void check_flow(const Trace& trace, const FaultModel& fm, std::uint32_t f,
                 std::vector<TraceViolation>& out) {
   const TraceContext& c = trace.context;
   ViolationSink sink{out};
-  const bool infra =
-      c.scheme == SlotScheme::kSchemeB || c.scheme == SlotScheme::kSchemeC;
+  const bool infra = uses_bs(c.scheme);
   const std::uint32_t dst = c.dest[f];
 
   struct Pkt {
@@ -808,16 +806,17 @@ void check_flow(const Trace& trace, const FaultModel& fm, std::uint32_t f,
                        std::to_string(c.source_backlog));
         bool loc_ok = e.from == f;
         switch (c.scheme) {
-          case SlotScheme::kSchemeA:
-          case SlotScheme::kTwoHop:
+          case Scheme::kSchemeA:
+          case Scheme::kTwoHop:
+          case Scheme::kStaticMultihop:
             // Ad hoc schemes: the source injects into its own queue.
             loc_ok = loc_ok && e.to == f;
             break;
-          case SlotScheme::kSchemeB:
+          case Scheme::kSchemeB:
             // Uplink to whichever BS the S* meeting provided.
             loc_ok = loc_ok && e.to >= c.n && e.to < c.n + c.k;
             break;
-          case SlotScheme::kSchemeC:
+          case Scheme::kSchemeC:
             // Static TDMA: uplink only to the cell's own BS.
             loc_ok = loc_ok && e.to == serving_of(f, e.slot)[0];
             break;
@@ -838,7 +837,7 @@ void check_flow(const Trace& trace, const FaultModel& fm, std::uint32_t f,
         }
         Pkt* p = find_at(e.from, e.hop == 0 ? 0 : e.hop - 1);
         if (p == nullptr) break;  // global pass flags packet_not_at_node
-        if (c.scheme == SlotScheme::kSchemeA) {
+        if (c.scheme == Scheme::kSchemeA) {
           const auto& path = c.paths[f];
           if (e.hop != p->hop + 1)
             sink.add("hop_monotone", ei,
@@ -902,7 +901,7 @@ void check_flow(const Trace& trace, const FaultModel& fm, std::uint32_t f,
                      "infrastructure delivery is downlink-only (hop 1): " +
                          describe_event(e));
           const bool bs_ok =
-              c.scheme == SlotScheme::kSchemeC
+              c.scheme == Scheme::kSchemeC
                   ? e.from == serving_of(dst, e.slot)[0]
                   : e.from >= c.n && serving_has(dst, e.from, e.slot);
           if (!bs_ok)
@@ -1030,7 +1029,7 @@ std::vector<GoldenTraceSpec> golden_trace_specs() {
   {
     GoldenTraceSpec s;
     s.name = "scheme_a";
-    s.scheme = SlotScheme::kSchemeA;
+    s.scheme = Scheme::kSchemeA;
     s.params.n = 192;
     s.params.alpha = 0.3;
     s.params.with_bs = false;
@@ -1043,7 +1042,7 @@ std::vector<GoldenTraceSpec> golden_trace_specs() {
   {
     GoldenTraceSpec s;
     s.name = "two_hop";
-    s.scheme = SlotScheme::kTwoHop;
+    s.scheme = Scheme::kTwoHop;
     s.params.n = 128;
     s.params.alpha = 0.0;  // full mixing
     s.params.with_bs = false;
@@ -1056,7 +1055,7 @@ std::vector<GoldenTraceSpec> golden_trace_specs() {
   {
     GoldenTraceSpec s;
     s.name = "scheme_b";
-    s.scheme = SlotScheme::kSchemeB;
+    s.scheme = Scheme::kSchemeB;
     s.params.n = 256;
     s.params.alpha = 0.35;
     s.params.with_bs = true;
@@ -1071,7 +1070,7 @@ std::vector<GoldenTraceSpec> golden_trace_specs() {
   {
     GoldenTraceSpec s;
     s.name = "scheme_c";
-    s.scheme = SlotScheme::kSchemeC;
+    s.scheme = Scheme::kSchemeC;
     s.params.n = 256;
     s.params.alpha = 0.75;  // trivial regime (see DESIGN.md)
     s.params.with_bs = true;

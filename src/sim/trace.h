@@ -108,7 +108,7 @@ struct TraceFault {
 /// Captured by SlotSim at construction from the same state the forwarding
 /// code uses.
 struct TraceContext {
-  SlotScheme scheme = SlotScheme::kSchemeA;
+  Scheme scheme = Scheme::kSchemeA;
   SlotMobility mobility = SlotMobility::kIid;
   std::uint32_t n = 0;  // mobile stations; node ids [0, n)
   std::uint32_t k = 0;  // base stations; node ids [n, n+k)
@@ -239,7 +239,7 @@ TraceVerdict verify_trace(const Trace& trace,
 /// derive from sim::trial_seed so regeneration is deterministic.
 struct GoldenTraceSpec {
   std::string name;  // file stem, e.g. "scheme_a" → scheme_a.trace
-  SlotScheme scheme = SlotScheme::kSchemeA;
+  Scheme scheme = Scheme::kSchemeA;
   net::ScalingParams params;
   net::BsPlacement placement = net::BsPlacement::kUniform;
   std::size_t slots = 0;

@@ -68,22 +68,22 @@ Instance make_instance(const net::ScalingParams& p, net::BsPlacement place,
 
 /// Fills `rs` for the given flow scheme using the same dispatch FlowSim
 /// runs, returning the evaluator's solver result.
-flow::ThroughputResult fill_rates(const Instance& in, FlowScheme scheme,
+flow::ThroughputResult fill_rates(const Instance& in, Scheme scheme,
                                   routing::RateStructure& rs) {
   switch (scheme) {
-    case FlowScheme::kSchemeA:
+    case Scheme::kSchemeA:
       return routing::SchemeA()
           .evaluate(in.net, in.dest, nullptr, 1.0, &rs)
           .throughput;
-    case FlowScheme::kTwoHop:
+    case Scheme::kTwoHop:
       return routing::TwoHopRelay().evaluate(in.net, in.dest, &rs).throughput;
-    case FlowScheme::kSchemeB:
+    case Scheme::kSchemeB:
       return routing::SchemeB(routing::BsGrouping::kSquarelet)
           .evaluate(in.net, in.dest, nullptr, 1.0, &rs)
           .throughput;
-    case FlowScheme::kSchemeC:
+    case Scheme::kSchemeC:
       return routing::SchemeC().evaluate(in.net, in.dest, &rs).throughput;
-    case FlowScheme::kStaticMultihop:
+    case Scheme::kStaticMultihop:
       return routing::StaticMultihop()
           .evaluate(in.net, in.dest, &rs)
           .throughput;
@@ -92,7 +92,7 @@ flow::ThroughputResult fill_rates(const Instance& in, FlowScheme scheme,
 }
 
 struct SchemeCase {
-  FlowScheme scheme;
+  Scheme scheme;
   net::ScalingParams params;
   net::BsPlacement placement;
 };
@@ -101,15 +101,15 @@ std::vector<SchemeCase> scheme_cases() {
   net::ScalingParams static_p = strong_params(1024, /*with_bs=*/false);
   static_p.alpha = 0.75;  // static baseline: mobility effectively off
   return {
-      {FlowScheme::kSchemeA, strong_params(4096, /*with_bs=*/false),
+      {Scheme::kSchemeA, strong_params(4096, /*with_bs=*/false),
        net::BsPlacement::kUniform},
-      {FlowScheme::kTwoHop, strong_params(512, /*with_bs=*/false),
+      {Scheme::kTwoHop, strong_params(512, /*with_bs=*/false),
        net::BsPlacement::kUniform},
-      {FlowScheme::kSchemeB, strong_params(1024),
+      {Scheme::kSchemeB, strong_params(1024),
        net::BsPlacement::kClusteredMatched},
-      {FlowScheme::kSchemeC, trivial_params(1024),
+      {Scheme::kSchemeC, trivial_params(1024),
        net::BsPlacement::kClusterGrid},
-      {FlowScheme::kStaticMultihop, static_p, net::BsPlacement::kUniform},
+      {Scheme::kStaticMultihop, static_p, net::BsPlacement::kUniform},
   };
 }
 
@@ -205,7 +205,7 @@ TEST(FlowSim, PureTdmaMinRateEqualsSolverLambda) {
   Instance in = make_instance(strong_params(4096, /*with_bs=*/false),
                               net::BsPlacement::kUniform, 5);
   FlowSimOptions opt;
-  opt.scheme = FlowScheme::kSchemeA;
+  opt.scheme = Scheme::kSchemeA;
   opt.slots = 2000;
   opt.warmup = 400;
   opt.maxmin_rounds = 0;
@@ -238,7 +238,7 @@ TEST(TrafficSeed, FluidUsesCanonicalDerivation) {
   // must reproduce the direct evaluation on our dest bit for bit.
   FluidOptions opt;
   opt.seed = 17;
-  opt.force = FluidOptions::ForceScheme::kB;
+  opt.force = Scheme::kSchemeB;
   const auto out = evaluate_capacity(in.net, opt);
   const auto direct = routing::SchemeB(routing::BsGrouping::kSquarelet)
                           .evaluate(in.net, in.dest);
@@ -296,8 +296,8 @@ TEST(Fluid, BottleneckComesFromWinningComponent) {
 // contract the forced-A fix established for degenerate grids).
 TEST(Fluid, ForcedInfraSchemeWithoutBsIsLabeledDegenerate) {
   const auto p = strong_params(512, /*with_bs=*/false);
-  for (const auto force : {FluidOptions::ForceScheme::kB,
-                           FluidOptions::ForceScheme::kC}) {
+  for (const auto force : {Scheme::kSchemeB,
+                           Scheme::kSchemeC}) {
     FluidOptions opt;
     opt.seed = 9;
     opt.placement = net::BsPlacement::kUniform;
@@ -309,15 +309,15 @@ TEST(Fluid, ForcedInfraSchemeWithoutBsIsLabeledDegenerate) {
         << out.scheme;
   }
   // Healthy counterparts still measure positive rates.
-  for (const auto force : {FluidOptions::ForceScheme::kB,
-                           FluidOptions::ForceScheme::kC}) {
+  for (const auto force : {Scheme::kSchemeB,
+                           Scheme::kSchemeC}) {
     FluidOptions opt;
     opt.seed = 9;
     opt.force = force;
-    if (force == FluidOptions::ForceScheme::kC)
+    if (force == Scheme::kSchemeC)
       opt.placement = net::BsPlacement::kClusterGrid;
     const auto out = evaluate_capacity(
-        force == FluidOptions::ForceScheme::kC ? trivial_params(2048)
+        force == Scheme::kSchemeC ? trivial_params(2048)
                                                : strong_params(2048),
         opt);
     EXPECT_GT(out.lambda, 0.0) << out.scheme;
@@ -333,7 +333,7 @@ TEST(FlowSim, DegenerateSchemeAIsSurfaced) {
   p.alpha = 0.0;  // f(n) = 1: mobility spans the torus, grid collapses
   Instance in = make_instance(p, net::BsPlacement::kUniform, 21);
   FlowSimOptions opt;
-  opt.scheme = FlowScheme::kSchemeA;
+  opt.scheme = Scheme::kSchemeA;
   const auto r = run_flow_sim(in.net, in.dest, opt);
   EXPECT_TRUE(r.degenerate);
   EXPECT_EQ(r.mean_flow_rate, 0.0);
@@ -351,31 +351,20 @@ TEST(FlowSim, CrossValidatesAgainstSlotSimOnGoldens) {
   struct Band {
     double lo, hi;
   };
-  auto band_of = [](SlotScheme s) -> Band {
+  auto band_of = [](Scheme s) -> Band {
     switch (s) {
-      case SlotScheme::kSchemeA:
+      case Scheme::kSchemeA:
         return {0.8, 4.0};
-      case SlotScheme::kTwoHop:
+      case Scheme::kTwoHop:
         return {1.0, 12.0};
-      case SlotScheme::kSchemeB:
+      case Scheme::kSchemeB:
         return {0.35, 2.5};
-      case SlotScheme::kSchemeC:
+      case Scheme::kSchemeC:
         return {0.25, 2.0};
+      case Scheme::kStaticMultihop:
+        break;  // no packet engine to compare against
     }
     return {0.0, 1e9};
-  };
-  auto flow_scheme_of = [](SlotScheme s) {
-    switch (s) {
-      case SlotScheme::kSchemeA:
-        return FlowScheme::kSchemeA;
-      case SlotScheme::kTwoHop:
-        return FlowScheme::kTwoHop;
-      case SlotScheme::kSchemeB:
-        return FlowScheme::kSchemeB;
-      case SlotScheme::kSchemeC:
-        return FlowScheme::kSchemeC;
-    }
-    return FlowScheme::kSchemeA;
   };
   for (const auto& spec : golden_trace_specs()) {
     SCOPED_TRACE(spec.name);
@@ -393,7 +382,7 @@ TEST(FlowSim, CrossValidatesAgainstSlotSimOnGoldens) {
     const auto sres = run_slot_sim(net, dest, sopt);
 
     FlowSimOptions fopt;
-    fopt.scheme = flow_scheme_of(spec.scheme);
+    fopt.scheme = spec.scheme;
     fopt.slots = spec.slots;
     fopt.warmup = spec.warmup;
     fopt.seed = spec.sim_seed;
@@ -472,7 +461,7 @@ TEST(FlowSimTraffic, DefaultSpecDemandsMatchDestPathExactly) {
   auto net = net::Network::build(p, mobility::ShapeKind::kUniformDisk,
                                  net::BsPlacement::kClusteredMatched, 929);
   FlowSimOptions opt;
-  opt.scheme = FlowScheme::kSchemeB;
+  opt.scheme = Scheme::kSchemeB;
   opt.slots = 2000;
   opt.warmup = 400;
   opt.seed = 937;
@@ -499,7 +488,7 @@ TEST(FlowSimTraffic, DutyThinningCutsInjectedVolume) {
   auto net = net::Network::build(p, mobility::ShapeKind::kUniformDisk,
                                  net::BsPlacement::kClusteredMatched, 941);
   FlowSimOptions opt;
-  opt.scheme = FlowScheme::kSchemeB;
+  opt.scheme = Scheme::kSchemeB;
   opt.slots = 2000;
   opt.warmup = 400;
   opt.seed = 947;
@@ -529,7 +518,7 @@ TEST(FlowSimTraffic, FiniteSizesCapInjection) {
   auto net = net::Network::build(p, mobility::ShapeKind::kUniformDisk,
                                  net::BsPlacement::kClusteredMatched, 953);
   FlowSimOptions opt;
-  opt.scheme = FlowScheme::kSchemeB;
+  opt.scheme = Scheme::kSchemeB;
   opt.slots = 4000;
   opt.warmup = 400;
   opt.seed = 967;
@@ -547,7 +536,7 @@ TEST(FlowSimTraffic, OutOfRangeDestIsANamedError) {
   auto net = net::Network::build(p, mobility::ShapeKind::kUniformDisk,
                                  net::BsPlacement::kClusteredMatched, 971);
   FlowSimOptions opt;
-  opt.scheme = FlowScheme::kSchemeB;
+  opt.scheme = Scheme::kSchemeB;
   opt.slots = 200;
   opt.warmup = 20;
 
@@ -571,7 +560,7 @@ TEST(FlowSimChurn, ConservationClosesAndLeaveGatesInjection) {
   const auto dest = net::permutation_traffic(p.n, g);
 
   FlowSimOptions opt;
-  opt.scheme = FlowScheme::kSchemeB;
+  opt.scheme = Scheme::kSchemeB;
   opt.slots = 2000;
   opt.warmup = 400;
   opt.seed = 991;
@@ -609,7 +598,7 @@ TEST(FlowSimChurn, RejectsInfraAndShiftPlans) {
   rng::Xoshiro256 g(1009);
   const auto dest = net::permutation_traffic(p.n, g);
   FlowSimOptions opt;
-  opt.scheme = FlowScheme::kSchemeB;
+  opt.scheme = Scheme::kSchemeB;
   opt.slots = 400;
   opt.warmup = 40;
   for (const char* spec : {"down@100:0", "shift@100:walk"}) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <set>
 
 #include "geom/hex.h"
@@ -118,8 +119,10 @@ struct HashCase {
   std::size_t n;
   double radius;
 };
-// gtest names each case after these bytes; with no padding every one is set.
-static_assert(sizeof(HashCase) == sizeof(std::size_t) + sizeof(double));
+
+void PrintTo(const HashCase& c, std::ostream* os) {
+  *os << "{n=" << c.n << ", r=" << c.radius << "}";
+}
 
 class SpatialHashOracle : public ::testing::TestWithParam<HashCase> {};
 

@@ -9,6 +9,7 @@
 #include "capacity/formulas.h"
 #include "capacity/phase_diagram.h"
 #include "capacity/recommend.h"
+#include "capacity/regimes.h"
 #include "linkcap/link_capacity.h"
 #include "linkcap/measure.h"
 #include "mobility/shape.h"
@@ -18,6 +19,14 @@
 #include "sim/slotsim.h"
 #include "sim/sweep.h"
 #include "util/check.h"
+
+namespace manetcap::capacity {
+
+// Names the regime-parameterized cases "…/weak" instead of the enum's
+// bytes. gtest finds it by argument-dependent lookup, hence the namespace.
+void PrintTo(MobilityRegime r, std::ostream* os) { *os << to_string(r); }
+
+}  // namespace manetcap::capacity
 
 namespace manetcap {
 namespace {
@@ -291,7 +300,7 @@ TEST(SlotSimProperty, LargerWindowNeverSlower) {
   double prev_rate = 0.0;
   for (std::size_t window : {1u, 4u, 16u}) {
     sim::SlotSimOptions opt;
-    opt.scheme = sim::SlotScheme::kSchemeA;
+    opt.scheme = sim::Scheme::kSchemeA;
     opt.slots = 1500;
     opt.warmup = 300;
     opt.seed = 41;
@@ -318,7 +327,7 @@ TEST(SlotSimProperty, DeliveredNeverExceedsInjectedBudget) {
   rng::Xoshiro256 g(47);
   auto dest = net::permutation_traffic(p.n, g);
   sim::SlotSimOptions opt;
-  opt.scheme = sim::SlotScheme::kSchemeA;
+  opt.scheme = sim::Scheme::kSchemeA;
   opt.slots = 800;
   opt.warmup = 100;
   opt.seed = 53;

@@ -102,7 +102,8 @@ TEST(SStar, PrebuiltHashGivesSameResult) {
   geom::SpatialHash hash((1.0 + 1.0) * s.range_for(pos.size()), pos.size());
   hash.build(pos);
   auto a = s.feasible_pairs(pos);
-  auto b = s.feasible_pairs(pos, hash);
+  SStarScheduler::Workspace ws;
+  const auto& b = s.feasible_pairs_into(pos, hash, ws);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].tx, b[i].tx);

@@ -6,14 +6,17 @@
 #include <stdexcept>
 #include <string>
 
+#include "capacity/regimes.h"
 #include "geom/point.h"
 #include "linkcap/link_capacity.h"
 #include "net/traffic.h"
 #include "rng/rng.h"
+#include "routing/scheme_b.h"
 #include "routing/scheme_c.h"
 #include "sim/engine.h"
 #include "sim/fluid.h"
 #include "sim/metrics.h"
+#include "sim/scheme.h"
 #include "sim/slotsim.h"
 #include "sim/slotsim_reference.h"
 #include "sim/sweep.h"
@@ -105,7 +108,7 @@ TEST(Fluid, NoBsStrongIsPureAdhoc) {
 TEST(Fluid, ForcedSchemeOverridesDispatch) {
   FluidOptions opt;
   opt.seed = 11;
-  opt.force = FluidOptions::ForceScheme::kB;
+  opt.force = Scheme::kSchemeB;
   auto out = evaluate_capacity(strong_params(4096), opt);
   EXPECT_NE(out.scheme.find("forced"), std::string::npos);
   EXPECT_DOUBLE_EQ(out.lambda_adhoc, 0.0);
@@ -335,7 +338,7 @@ TEST(SlotSim, SchemeADeliversPackets) {
   rng::Xoshiro256 g(19);
   auto dest = net::permutation_traffic(p.n, g);
   SlotSimOptions opt;
-  opt.scheme = SlotScheme::kSchemeA;
+  opt.scheme = Scheme::kSchemeA;
   opt.slots = 1500;
   opt.warmup = 300;
   opt.seed = 21;
@@ -356,7 +359,7 @@ TEST(SlotSim, TwoHopDeliversUnderFullMixing) {
   rng::Xoshiro256 g(29);
   auto dest = net::permutation_traffic(p.n, g);
   SlotSimOptions opt;
-  opt.scheme = SlotScheme::kTwoHop;
+  opt.scheme = Scheme::kTwoHop;
   opt.slots = 1500;
   opt.warmup = 300;
   opt.seed = 31;
@@ -372,7 +375,7 @@ TEST(SlotSim, SchemeBDeliversViaInfrastructure) {
   rng::Xoshiro256 g(41);
   auto dest = net::permutation_traffic(p.n, g);
   SlotSimOptions opt;
-  opt.scheme = SlotScheme::kSchemeB;
+  opt.scheme = Scheme::kSchemeB;
   opt.slots = 2000;
   opt.warmup = 400;
   opt.seed = 43;
@@ -387,7 +390,7 @@ TEST(SlotSim, DeterministicGivenSeed) {
   rng::Xoshiro256 g(53);
   auto dest = net::permutation_traffic(p.n, g);
   SlotSimOptions opt;
-  opt.scheme = SlotScheme::kSchemeA;
+  opt.scheme = Scheme::kSchemeA;
   opt.slots = 400;
   opt.warmup = 100;
   opt.seed = 59;
@@ -404,7 +407,7 @@ TEST(SlotSim, SchemeCDeliversInTrivialRegime) {
   rng::Xoshiro256 g(83);
   auto dest = net::permutation_traffic(p.n, g);
   SlotSimOptions opt;
-  opt.scheme = SlotScheme::kSchemeC;
+  opt.scheme = Scheme::kSchemeC;
   opt.slots = 3000;
   opt.warmup = 300;
   opt.seed = 87;
@@ -428,7 +431,7 @@ TEST(SlotSim, SchemeCMatchesFluidOrder) {
   ASSERT_GT(fluid, 0.0);
 
   SlotSimOptions opt;
-  opt.scheme = SlotScheme::kSchemeC;
+  opt.scheme = Scheme::kSchemeC;
   opt.slots = 4000;
   opt.warmup = 400;
   opt.seed = 91;
@@ -448,7 +451,7 @@ TEST(SlotSim, SchemeBDeliversInWeakRegime) {
   rng::Xoshiro256 g(153);
   auto dest = net::permutation_traffic(p.n, g);
   SlotSimOptions opt;
-  opt.scheme = SlotScheme::kSchemeB;
+  opt.scheme = Scheme::kSchemeB;
   opt.slots = 3000;
   opt.warmup = 300;
   opt.seed = 157;
@@ -464,7 +467,7 @@ TEST(SlotSim, DeliveredPacketsHaveDelays) {
   rng::Xoshiro256 g(93);
   auto dest = net::permutation_traffic(p.n, g);
   SlotSimOptions opt;
-  opt.scheme = SlotScheme::kSchemeA;
+  opt.scheme = Scheme::kSchemeA;
   opt.slots = 1500;
   opt.warmup = 300;
   opt.seed = 97;
@@ -488,7 +491,7 @@ TEST(SlotSim, TwoHopDelayShrinksWithFasterMixing) {
   rng::Xoshiro256 g(101);
   auto dest = net::permutation_traffic(p.n, g);
   SlotSimOptions opt;
-  opt.scheme = SlotScheme::kTwoHop;
+  opt.scheme = Scheme::kTwoHop;
   opt.mobility = SlotMobility::kBrownian;
   opt.slots = 3000;
   opt.warmup = 300;
@@ -507,7 +510,7 @@ TEST(SlotSim, MobilityVariantsAllRun) {
   for (auto mob : {SlotMobility::kIid, SlotMobility::kWalk,
                    SlotMobility::kPullHome}) {
     SlotSimOptions opt;
-    opt.scheme = SlotScheme::kSchemeA;
+    opt.scheme = Scheme::kSchemeA;
     opt.mobility = mob;
     opt.slots = 600;
     opt.warmup = 150;
@@ -530,12 +533,103 @@ TEST(SlotSim, WarmupMustPrecedeEnd) {
 }
 
 TEST(SlotSim, SchemeNames) {
-  EXPECT_EQ(to_string(SlotScheme::kSchemeA), "scheme-A");
-  EXPECT_EQ(to_string(SlotScheme::kTwoHop), "two-hop");
-  EXPECT_EQ(to_string(SlotScheme::kSchemeB), "scheme-B");
+  EXPECT_EQ(to_string(Scheme::kSchemeA), "scheme-A");
+  EXPECT_EQ(to_string(Scheme::kTwoHop), "two-hop");
+  EXPECT_EQ(to_string(Scheme::kSchemeB), "scheme-B");
+}
+
+// ------------------------------------------------- scheme vocabulary --
+
+// The regime → scheme rule on Table I's five rows (bench/table1_regimes),
+// pinned to the answers of the per-engine selectors it replaced. The
+// no-BS weak/trivial row runs once in each regime.
+TEST(Scheme, SelectsEachTableIRowsScheme) {
+  auto make = [](double alpha, bool with_bs, double K, double M, double R) {
+    net::ScalingParams p;
+    p.alpha = alpha;
+    p.with_bs = with_bs;
+    p.K = K;
+    p.M = M;
+    p.R = R;
+    return p;
+  };
+  using capacity::MobilityRegime;
+  using routing::BsGrouping;
+  const struct {
+    const char* name;
+    net::ScalingParams params;
+    MobilityRegime regime;
+    Scheme scheme;
+    bool hybrid;
+    BsGrouping grouping;
+  } rows[] = {
+      {"strong, no BS", make(0.25, false, 0.0, 1.0, 0.0),
+       MobilityRegime::kStrong, Scheme::kSchemeA, false,
+       BsGrouping::kSquarelet},
+      {"strong, with BS", make(0.25, true, 0.85, 1.0, 0.0),
+       MobilityRegime::kStrong, Scheme::kSchemeA, true,
+       BsGrouping::kSquarelet},
+      {"weak, no BS", make(0.45, false, 0.0, 0.45, 0.35),
+       MobilityRegime::kWeak, Scheme::kStaticMultihop, false,
+       BsGrouping::kCluster},
+      {"trivial, no BS", make(0.75, false, 0.0, 0.2, 0.3),
+       MobilityRegime::kTrivial, Scheme::kStaticMultihop, false,
+       BsGrouping::kSquarelet},
+      {"weak, with BS", make(0.45, true, 0.75, 0.45, 0.35),
+       MobilityRegime::kWeak, Scheme::kSchemeB, false, BsGrouping::kCluster},
+      {"trivial, with BS", make(0.75, true, 0.6, 0.2, 0.3),
+       MobilityRegime::kTrivial, Scheme::kSchemeC, false,
+       BsGrouping::kSquarelet},
+  };
+  for (const auto& row : rows) {
+    SCOPED_TRACE(row.name);
+    ASSERT_EQ(capacity::classify(row.params), row.regime);
+    EXPECT_EQ(select_scheme(row.params), row.scheme);
+    EXPECT_EQ(strong_hybrid(row.params), row.hybrid);
+    EXPECT_EQ(bs_grouping(row.params), row.grouping);
+  }
+}
+
+TEST(Scheme, ParseInvertsToString) {
+  for (const Scheme s : {Scheme::kSchemeA, Scheme::kTwoHop, Scheme::kSchemeB,
+                         Scheme::kSchemeC, Scheme::kStaticMultihop})
+    EXPECT_EQ(parse_scheme(to_string(s)), s) << to_string(s);
+  // The CLI's short names.
+  EXPECT_EQ(parse_scheme("A"), Scheme::kSchemeA);
+  EXPECT_EQ(parse_scheme("twohop"), Scheme::kTwoHop);
+  EXPECT_EQ(parse_scheme("B"), Scheme::kSchemeB);
+  EXPECT_EQ(parse_scheme("C"), Scheme::kSchemeC);
+  EXPECT_EQ(parse_scheme("static"), Scheme::kStaticMultihop);
+  try {
+    parse_scheme("D");
+    FAIL() << "parse_scheme accepted an unknown name";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown scheme: D"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // ------------------------------------------ options validation (names) --
+
+TEST(SlotSimValidation, StaticMultihopHasNoPacketEngine) {
+  auto p = strong_params(64, /*with_bs=*/false);
+  auto net = net::Network::build(p, mobility::ShapeKind::kUniformDisk,
+                                 net::BsPlacement::kUniform, 201);
+  rng::Xoshiro256 g(203);
+  auto dest = net::permutation_traffic(p.n, g);
+  SlotSimOptions opt;
+  opt.scheme = Scheme::kStaticMultihop;
+  try {
+    run_slot_sim(net, dest, opt);
+    FAIL() << "SlotSim ran static multihop";
+  } catch (const manetcap::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("static-multihop has no packet "
+                                         "engine"),
+              std::string::npos)
+        << e.what();
+  }
+}
 
 TEST(SlotSimValidation, EachBadOptionThrowsItsNamedError) {
   auto p = strong_params(64, /*with_bs=*/false);
@@ -609,7 +703,7 @@ void expect_matches_reference(const net::ScalingParams& p,
 
 TEST(SlotSimEquivalence, SchemeAWalkMatchesReference) {
   SlotSimOptions opt;
-  opt.scheme = SlotScheme::kSchemeA;
+  opt.scheme = Scheme::kSchemeA;
   opt.mobility = SlotMobility::kWalk;
   opt.slots = 600;
   opt.warmup = 150;
@@ -625,7 +719,7 @@ TEST(SlotSimEquivalence, TwoHopBrownianMatchesReference) {
   p.with_bs = false;
   p.M = 1.0;
   SlotSimOptions opt;
-  opt.scheme = SlotScheme::kTwoHop;
+  opt.scheme = Scheme::kTwoHop;
   opt.mobility = SlotMobility::kBrownian;
   opt.slots = 800;
   opt.warmup = 200;
@@ -635,7 +729,7 @@ TEST(SlotSimEquivalence, TwoHopBrownianMatchesReference) {
 
 TEST(SlotSimEquivalence, SchemeBMatchesReference) {
   SlotSimOptions opt;
-  opt.scheme = SlotScheme::kSchemeB;
+  opt.scheme = Scheme::kSchemeB;
   opt.slots = 800;
   opt.warmup = 200;
   opt.seed = 227;
@@ -645,7 +739,7 @@ TEST(SlotSimEquivalence, SchemeBMatchesReference) {
 
 TEST(SlotSimEquivalence, SchemeCPullHomeMatchesReference) {
   SlotSimOptions opt;
-  opt.scheme = SlotScheme::kSchemeC;
+  opt.scheme = Scheme::kSchemeC;
   opt.mobility = SlotMobility::kPullHome;
   opt.slots = 1000;
   opt.warmup = 200;
@@ -662,19 +756,19 @@ TEST(SlotSimAudit, ConservationHoldsForAllSchemes) {
   // internally; asserting on the result catches accounting drift between
   // the counters and the returned totals).
   struct SchemeCase {
-    SlotScheme scheme;
+    Scheme scheme;
     net::ScalingParams params;
     net::BsPlacement placement;
   };
   net::ScalingParams two_hop = strong_params(256, /*with_bs=*/false);
   two_hop.alpha = 0.0;  // full mixing
   const std::vector<SchemeCase> cases = {
-      {SlotScheme::kSchemeA, strong_params(256, /*with_bs=*/false),
+      {Scheme::kSchemeA, strong_params(256, /*with_bs=*/false),
        net::BsPlacement::kUniform},
-      {SlotScheme::kTwoHop, two_hop, net::BsPlacement::kUniform},
-      {SlotScheme::kSchemeB, strong_params(256),
+      {Scheme::kTwoHop, two_hop, net::BsPlacement::kUniform},
+      {Scheme::kSchemeB, strong_params(256),
        net::BsPlacement::kClusteredMatched},
-      {SlotScheme::kSchemeC, trivial_params(512),
+      {Scheme::kSchemeC, trivial_params(512),
        net::BsPlacement::kClusterGrid},
   };
   for (const auto& c : cases) {
@@ -709,7 +803,7 @@ TEST(SlotSimAudit, MetricsSeriesTracksQueues) {
   rng::Xoshiro256 g(233);
   auto dest = net::permutation_traffic(p.n, g);
   SlotSimOptions opt;
-  opt.scheme = SlotScheme::kSchemeA;
+  opt.scheme = Scheme::kSchemeA;
   opt.slots = 1200;
   opt.warmup = 200;
   opt.seed = 239;
@@ -736,7 +830,7 @@ TEST(SlotSimAudit, MetricsAttachmentDoesNotPerturbResults) {
   rng::Xoshiro256 g(251);
   auto dest = net::permutation_traffic(p.n, g);
   SlotSimOptions opt;
-  opt.scheme = SlotScheme::kSchemeA;
+  opt.scheme = Scheme::kSchemeA;
   opt.slots = 800;
   opt.warmup = 200;
   opt.seed = 257;
@@ -811,7 +905,7 @@ TEST(SlotSimAudit, SchemeBSparseTopologyHasNoOrphans) {
   rng::Xoshiro256 g(269);
   auto dest = net::permutation_traffic(p.n, g);
   SlotSimOptions opt;
-  opt.scheme = SlotScheme::kSchemeB;
+  opt.scheme = Scheme::kSchemeB;
   opt.slots = 4000;
   opt.warmup = 400;
   opt.seed = 271;
@@ -843,7 +937,7 @@ TEST(SlotSimAudit, SchemeALastCellDeliversDirectly) {
   rng::Xoshiro256 g(281);
   auto dest = net::permutation_traffic(p.n, g);
   SlotSimOptions opt;
-  opt.scheme = SlotScheme::kSchemeA;
+  opt.scheme = Scheme::kSchemeA;
   opt.slots = 3000;
   opt.warmup = 300;
   opt.seed = 283;
@@ -867,7 +961,7 @@ TEST(SlotSimAudit, FullQueuesAreCountedNotSilent) {
   rng::Xoshiro256 g(307);
   auto dest = net::permutation_traffic(p.n, g);
   SlotSimOptions opt;
-  opt.scheme = SlotScheme::kSchemeA;
+  opt.scheme = Scheme::kSchemeA;
   opt.slots = 1500;
   opt.warmup = 300;
   opt.seed = 311;
@@ -890,7 +984,7 @@ TEST(Fluid, ForcedSchemeADegeneracyIsSurfaced) {
   p.alpha = 0.0;  // full mixing: the mobility disk covers the torus
   FluidOptions opt;
   opt.seed = 11;
-  opt.force = FluidOptions::ForceScheme::kA;
+  opt.force = Scheme::kSchemeA;
   const auto out = evaluate_capacity(p, opt);
   EXPECT_EQ(out.lambda, 0.0);
   EXPECT_EQ(out.lambda_symmetric, 0.0);
@@ -937,7 +1031,7 @@ TEST(SlotSimFault, EmptyPlanIsExactlyFaultFree) {
   rng::Xoshiro256 g(337);
   auto dest = net::permutation_traffic(p.n, g);
   SlotSimOptions opt;
-  opt.scheme = SlotScheme::kSchemeB;
+  opt.scheme = Scheme::kSchemeB;
   opt.slots = 1500;
   opt.warmup = 300;
   opt.seed = 347;
@@ -961,7 +1055,7 @@ TEST(SlotSimFault, ConservationClosesUnderMixedFaultsSchemeB) {
   rng::Xoshiro256 g(337);
   auto dest = net::permutation_traffic(p.n, g);
   SlotSimOptions opt;
-  opt.scheme = SlotScheme::kSchemeB;
+  opt.scheme = Scheme::kSchemeB;
   opt.slots = 2000;
   opt.warmup = 400;
   opt.seed = 347;
@@ -993,7 +1087,7 @@ TEST(SlotSimFault, ConservationClosesUnderRegionalOutageSchemeC) {
   rng::Xoshiro256 g(359);
   auto dest = net::permutation_traffic(p.n, g);
   SlotSimOptions opt;
-  opt.scheme = SlotScheme::kSchemeC;
+  opt.scheme = Scheme::kSchemeC;
   opt.slots = 2000;
   opt.warmup = 400;
   opt.seed = 367;
@@ -1029,7 +1123,7 @@ TEST(SlotSimFault, LiveBsSeriesTracksDownAndUp) {
   rng::Xoshiro256 g(337);
   auto dest = net::permutation_traffic(p.n, g);
   SlotSimOptions opt;
-  opt.scheme = SlotScheme::kSchemeB;
+  opt.scheme = Scheme::kSchemeB;
   opt.slots = 1500;
   opt.warmup = 300;
   opt.seed = 347;
@@ -1057,7 +1151,7 @@ TEST(SlotSimFault, RequiresInfrastructureScheme) {
   rng::Xoshiro256 g(379);
   auto dest = net::permutation_traffic(p.n, g);
   SlotSimOptions opt;
-  opt.scheme = SlotScheme::kSchemeA;
+  opt.scheme = Scheme::kSchemeA;
   opt.slots = 100;
   opt.warmup = 10;
   FaultPlan plan;
@@ -1084,7 +1178,7 @@ TEST(SlotSimFault, RefusesToKillLastLiveBs) {
   rng::Xoshiro256 g(389);
   auto dest = net::permutation_traffic(p.n, g);
   SlotSimOptions opt;
-  opt.scheme = SlotScheme::kSchemeB;
+  opt.scheme = Scheme::kSchemeB;
   opt.slots = 200;
   opt.warmup = 20;
   FaultPlan plan;
@@ -1212,7 +1306,7 @@ TEST(SlotSimFault, ReferenceSimRejectsFaultPlans) {
   rng::Xoshiro256 g(401);
   auto dest = net::permutation_traffic(p.n, g);
   SlotSimOptions opt;
-  opt.scheme = SlotScheme::kSchemeB;
+  opt.scheme = Scheme::kSchemeB;
   opt.slots = 100;
   opt.warmup = 10;
   FaultPlan plan;
@@ -1278,7 +1372,7 @@ TEST(SlotSimPhy, ProtocolFlagIsByteIdenticalToDefault) {
   rng::Xoshiro256 g(303);
   auto dest = net::permutation_traffic(p.n, g);
   SlotSimOptions opt;
-  opt.scheme = SlotScheme::kSchemeA;
+  opt.scheme = Scheme::kSchemeA;
   opt.slots = 400;
   opt.warmup = 100;
   opt.seed = 305;
@@ -1306,7 +1400,7 @@ TEST(SlotSimPhy, SinrBitIdenticalAcrossShards) {
   auto dest = net::permutation_traffic(p.n, g);
   for (phy::PhyKind kind : {phy::PhyKind::kSinr, phy::PhyKind::kSinrCsma}) {
     SlotSimOptions opt;
-    opt.scheme = SlotScheme::kSchemeB;
+    opt.scheme = Scheme::kSchemeB;
     opt.slots = 300;
     opt.warmup = 60;
     opt.seed = 313;
@@ -1335,7 +1429,7 @@ TEST(SlotSimPhy, SchemeCRejectsNonProtocolBackend) {
   rng::Xoshiro256 g(319);
   auto dest = net::permutation_traffic(p.n, g);
   SlotSimOptions opt;
-  opt.scheme = SlotScheme::kSchemeC;
+  opt.scheme = Scheme::kSchemeC;
   opt.slots = 200;
   opt.warmup = 40;
   opt.phy = phy::PhyKind::kSinr;
@@ -1371,7 +1465,7 @@ TEST(SlotSimPhy, RejectionCountersAccountForTheCut) {
   rng::Xoshiro256 g(331);
   auto dest = net::permutation_traffic(p.n, g);
   SlotSimOptions opt;
-  opt.scheme = SlotScheme::kSchemeA;
+  opt.scheme = Scheme::kSchemeA;
   opt.slots = 300;
   opt.warmup = 60;
   opt.seed = 337;
@@ -1441,7 +1535,7 @@ TEST(SlotSimPhy, CheckpointRejectsBackendMismatch) {
   auto dest = net::permutation_traffic(p.n, g);
   const std::string path = testing::TempDir() + "manetcap_phy_mismatch.ckpt";
   SlotSimOptions opt;
-  opt.scheme = SlotScheme::kSchemeA;
+  opt.scheme = Scheme::kSchemeA;
   opt.slots = 200;
   opt.warmup = 40;
   opt.seed = 349;
@@ -1482,7 +1576,7 @@ TEST(SlotSimTraffic, DefaultSpecDemandsMatchDestPathExactly) {
   auto net = net::Network::build(p, mobility::ShapeKind::kUniformDisk,
                                  net::BsPlacement::kClusteredMatched, 811);
   SlotSimOptions opt;
-  opt.scheme = SlotScheme::kSchemeB;
+  opt.scheme = Scheme::kSchemeB;
   opt.slots = 1200;
   opt.warmup = 240;
   opt.seed = 821;
@@ -1511,7 +1605,7 @@ TEST(SlotSimTraffic, OutOfRangeDestIsANamedError) {
   auto net = net::Network::build(p, mobility::ShapeKind::kUniformDisk,
                                  net::BsPlacement::kClusteredMatched, 823);
   SlotSimOptions opt;
-  opt.scheme = SlotScheme::kSchemeB;
+  opt.scheme = Scheme::kSchemeB;
   opt.slots = 100;
   opt.warmup = 10;
 
@@ -1537,7 +1631,7 @@ TEST(SlotSimTraffic, ConservationClosesUnderHotspotBurstyLoad) {
   auto net = net::Network::build(p, mobility::ShapeKind::kUniformDisk,
                                  net::BsPlacement::kClusteredMatched, 827);
   SlotSimOptions opt;
-  opt.scheme = SlotScheme::kSchemeB;
+  opt.scheme = Scheme::kSchemeB;
   opt.slots = 1500;
   opt.warmup = 300;
   opt.seed = 829;
@@ -1569,7 +1663,7 @@ TEST(SlotSimTraffic, ShardsAreBitIdenticalUnderTrafficAndChurn) {
       FaultPlan::parse("leave@400:3; join@700:3; leave@900:17");
 
   SlotSimOptions opt;
-  opt.scheme = SlotScheme::kSchemeB;
+  opt.scheme = Scheme::kSchemeB;
   opt.slots = 1500;
   opt.warmup = 300;
   opt.seed = 853;
@@ -1601,7 +1695,7 @@ TEST(SlotSimChurn, ConservationClosesUnderLeaveAndJoin) {
       FaultPlan::parse("leave@500:3; leave@600:40; join@900:3");
 
   SlotSimOptions opt;
-  opt.scheme = SlotScheme::kSchemeB;
+  opt.scheme = Scheme::kSchemeB;
   opt.slots = 2000;
   opt.warmup = 400;
   opt.seed = 863;
@@ -1634,7 +1728,7 @@ TEST(SlotSimChurn, FirstEventJoinStartsAbsent) {
   const FaultPlan plan = FaultPlan::parse("join@800:5");
 
   SlotSimOptions opt;
-  opt.scheme = SlotScheme::kSchemeB;
+  opt.scheme = Scheme::kSchemeB;
   opt.slots = 1200;
   opt.warmup = 240;
   opt.seed = 883;
@@ -1657,7 +1751,7 @@ TEST(SlotSimChurn, CheckpointRefusedWithShiftPlans) {
   const FaultPlan plan = FaultPlan::parse("shift@300:walk");
 
   SlotSimOptions opt;
-  opt.scheme = SlotScheme::kSchemeB;
+  opt.scheme = Scheme::kSchemeB;
   opt.slots = 600;
   opt.warmup = 120;
   opt.faults = &plan;
@@ -1693,7 +1787,7 @@ TEST(SlotSimChurn, CheckpointRoundTripsUnderTrafficAndChurn) {
   const std::string path = "churn_traffic_ckpt.bin";
 
   SlotSimOptions opt;
-  opt.scheme = SlotScheme::kSchemeB;
+  opt.scheme = Scheme::kSchemeB;
   opt.slots = 1000;
   opt.warmup = 200;
   opt.seed = 919;
@@ -1735,7 +1829,7 @@ TEST(CapacityFrontier, SweepOverNewAxesIsBitIdenticalAcrossThreads) {
   SweepEvaluator eval = [](const EvalContext& ctx) {
     FluidOptions opt;
     opt.seed = ctx.seed;
-    opt.force = FluidOptions::ForceScheme::kC;
+    opt.force = Scheme::kSchemeC;
     opt.placement = net::BsPlacement::kClusterGrid;
     return evaluate_capacity(ctx.params, opt).lambda_symmetric;
   };
@@ -1766,7 +1860,7 @@ TEST(CapacityFrontier, AntennasLiftTheFluidEstimateAtSamePoint) {
   p.phi = 0.4;
   FluidOptions opt;
   opt.seed = 41;
-  opt.force = FluidOptions::ForceScheme::kC;
+  opt.force = Scheme::kSchemeC;
   opt.placement = net::BsPlacement::kClusterGrid;
   auto single = evaluate_capacity(p, opt);
   auto q = p;
@@ -1788,7 +1882,7 @@ TEST(CapacityFrontier, SlotSimRejectsAntennaScaling) {
   rng::Xoshiro256 g(19);
   auto dest = net::permutation_traffic(p.n, g);
   SlotSimOptions opt;
-  opt.scheme = SlotScheme::kSchemeB;
+  opt.scheme = Scheme::kSchemeB;
   opt.slots = 100;
   opt.warmup = 0;
   opt.seed = 21;

@@ -363,9 +363,9 @@ TEST(Theorem5, HybridBeatsBothComponentsAlone) {
   opt.seed = 16;
   auto out = sim::evaluate_capacity(strong_params(8192), opt);
   sim::FluidOptions only_a = opt;
-  only_a.force = sim::FluidOptions::ForceScheme::kA;
+  only_a.force = sim::Scheme::kSchemeA;
   sim::FluidOptions only_b = opt;
-  only_b.force = sim::FluidOptions::ForceScheme::kB;
+  only_b.force = sim::Scheme::kSchemeB;
   const double la = sim::evaluate_capacity(strong_params(8192), only_a).lambda;
   const double lb = sim::evaluate_capacity(strong_params(8192), only_b).lambda;
   EXPECT_GE(out.lambda * 1.0000001, la);

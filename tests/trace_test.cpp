@@ -118,6 +118,24 @@ TEST(TraceCodec, HugeEventCountIsRejectedBeforeAllocating) {
   expect_check_error(crafted_trace(0, std::uint64_t{1} << 32), "event");
 }
 
+// Scheme ids are sim::Scheme's one-byte indices. Static multihop (4) has
+// no packet engine, so no trace may carry it.
+TEST(TraceCodec, StaticMultihopSchemeIdIsRejected) {
+  auto bytes = crafted_trace(0, 0);
+  bytes[8] = static_cast<std::uint8_t>(Scheme::kStaticMultihop);
+  bytes.resize(bytes.size() - 8);  // re-seal the FNV trailer
+  util::binio::put_u64_fixed(bytes,
+                             util::binio::fnv1a(bytes.data(), bytes.size()));
+  try {
+    Trace::decode(bytes);
+    ADD_FAILURE() << "decode accepted scheme id 4";
+  } catch (const manetcap::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("invalid scheme id"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // -------------------------------------------------------------- checker --
 
 TEST(TraceVerify, AllGoldenSpecsPass) {
@@ -247,7 +265,7 @@ TEST(TraceVerify, FooterMismatchIsDetected) {
 TEST(TraceVerify, InfeasibleWiredSpendFailsWiredCredit) {
   Trace trace;
   TraceContext& c = trace.context;
-  c.scheme = SlotScheme::kSchemeB;
+  c.scheme = Scheme::kSchemeB;
   c.n = 2;
   c.k = 2;
   c.slots = 100;
@@ -281,7 +299,7 @@ TEST(TraceVerify, InfeasibleWiredSpendFailsWiredCredit) {
 
 TEST(TraceVerify, InvalidContextIsRejected) {
   Trace trace;
-  trace.context.scheme = SlotScheme::kSchemeB;
+  trace.context.scheme = Scheme::kSchemeB;
   trace.context.n = 4;
   trace.context.k = 0;  // infrastructure scheme without BSs
   trace.context.slots = 10;
@@ -537,7 +555,7 @@ TEST(SchemeCRegression, DownlinkDeliversBehindDeepStalledBacklog) {
 
   Metrics metrics;
   SlotSimOptions opt;
-  opt.scheme = SlotScheme::kSchemeC;
+  opt.scheme = Scheme::kSchemeC;
   opt.slots = 2000;
   opt.warmup = 200;
   opt.source_backlog = 1;

@@ -359,20 +359,8 @@ int cmd_sweep(const util::Flags& f) {
 // simulate --engine fluid: the flow-level engine on the same instance and
 // traffic the packet path would build, reporting the same audit identity.
 int cmd_simulate_fluid(const util::Flags& f, const net::ScalingParams& p) {
-  const std::string scheme = f.get_string("scheme", "A");
   sim::FlowSimOptions opt;
-  if (scheme == "A")
-    opt.scheme = sim::FlowScheme::kSchemeA;
-  else if (scheme == "B")
-    opt.scheme = sim::FlowScheme::kSchemeB;
-  else if (scheme == "C")
-    opt.scheme = sim::FlowScheme::kSchemeC;
-  else if (scheme == "twohop")
-    opt.scheme = sim::FlowScheme::kTwoHop;
-  else if (scheme == "static")
-    opt.scheme = sim::FlowScheme::kStaticMultihop;
-  else
-    throw std::runtime_error("unknown scheme: " + scheme);
+  opt.scheme = sim::parse_scheme(f.get_string("scheme", "A"));
   if (!f.get_string("checkpoint", "").empty() ||
       !f.get_string("resume", "").empty())
     throw std::runtime_error("--checkpoint/--resume need --engine slots");
@@ -381,9 +369,7 @@ int cmd_simulate_fluid(const util::Flags& f, const net::ScalingParams& p) {
   opt.warmup = static_cast<std::size_t>(f.get_int("warmup",
                                                   opt.slots / 10));
   opt.seed = static_cast<std::uint64_t>(f.get_int("seed", 1));
-  opt.grouping = capacity::classify(p) == capacity::MobilityRegime::kWeak
-                     ? routing::BsGrouping::kCluster
-                     : routing::BsGrouping::kSquarelet;
+  opt.grouping = sim::bs_grouping(p);
 
   // The fluid engine takes churn-only plans; run_flow_sim rejects
   // infrastructure or mobility-shift events with a named error.
@@ -405,7 +391,7 @@ int cmd_simulate_fluid(const util::Flags& f, const net::ScalingParams& p) {
   }
 
   const auto placement = sim::engine_placement(
-      p, opt.scheme == sim::FlowScheme::kSchemeC,
+      p, opt.scheme == sim::Scheme::kSchemeC,
       net::BsPlacement::kClusteredMatched);
   const auto net = net::Network::build(p, mobility::ShapeKind::kUniformDisk,
                                        placement, opt.seed);
@@ -418,12 +404,11 @@ int cmd_simulate_fluid(const util::Flags& f, const net::ScalingParams& p) {
     demands = net::make_traffic_model(tspec)->draw(p.n, g);
 
   // Non-protocol backends derate the wireless capacities by the measured
-  // pair-survival ratio (docs/PHY.md): schemes A/B via bandwidth_share
-  // (wires untouched), the wireless-only schemes by scaling the rate.
+  // pair-survival ratio (docs/PHY.md; sim::run_flow_sim_derated).
   const auto phy = phy_from(f);
   double survival = 1.0;
   if (phy != phy::PhyKind::kProtocol) {
-    if (opt.scheme == sim::FlowScheme::kSchemeC)
+    if (opt.scheme == sim::Scheme::kSchemeC)
       throw std::runtime_error(
           "--phy " + phy::to_string(phy) +
           " does not apply to scheme C (TDMA schedule has no per-slot "
@@ -433,18 +418,12 @@ int cmd_simulate_fluid(const util::Flags& f, const net::ScalingParams& p) {
     survival = sim::sinr_survival_ratio(net, phy, sinr,
                                         sim::trial_seed(opt.seed, 0, 2));
   }
-  const bool shares = opt.scheme == sim::FlowScheme::kSchemeA ||
-                      opt.scheme == sim::FlowScheme::kSchemeB;
-  if (shares && survival > 0.0) opt.bandwidth_share = survival;
-  auto r = survival > 0.0
-               ? (tspec.is_default() ? sim::run_flow_sim(net, dest, opt)
-                                     : sim::run_flow_sim(net, demands, opt))
-               : sim::FlowSimResult{};
-  if (!shares && survival < 1.0) {
-    r.mean_flow_rate *= survival;
-    r.p10_flow_rate *= survival;
-    r.lambda_strict *= survival;
-  }
+  const auto r = sim::run_flow_sim_derated(
+      [&](const sim::FlowSimOptions& o) {
+        return tspec.is_default() ? sim::run_flow_sim(net, dest, o)
+                                  : sim::run_flow_sim(net, demands, o);
+      },
+      opt, survival);
   std::cout << "scheme " << to_string(opt.scheme) << " (flow engine), "
             << opt.slots << " slots (" << opt.warmup << " warmup)\n";
   if (!tspec.is_default())
@@ -489,18 +468,8 @@ int cmd_simulate(const util::Flags& f) {
                  ? sim::EngineKind::kSlots
                  : sim::EngineKind::kFluid;
   if (engine == sim::EngineKind::kFluid) return cmd_simulate_fluid(f, p);
-  const std::string scheme = f.get_string("scheme", "A");
   sim::SlotSimOptions opt;
-  if (scheme == "A")
-    opt.scheme = sim::SlotScheme::kSchemeA;
-  else if (scheme == "B")
-    opt.scheme = sim::SlotScheme::kSchemeB;
-  else if (scheme == "C")
-    opt.scheme = sim::SlotScheme::kSchemeC;
-  else if (scheme == "twohop")
-    opt.scheme = sim::SlotScheme::kTwoHop;
-  else
-    throw std::runtime_error("unknown scheme: " + scheme);
+  opt.scheme = sim::parse_scheme(f.get_string("scheme", "A"));
 
   const std::string mob = f.get_string("mobility", "iid");
   if (mob == "iid")
@@ -540,10 +509,9 @@ int cmd_simulate(const util::Flags& f) {
     opt.faults = &faults;
   }
 
-  auto placement = opt.scheme == sim::SlotScheme::kSchemeC && !p.cluster_free()
-                       ? net::BsPlacement::kClusterGrid
-                       : net::BsPlacement::kClusteredMatched;
-  if (!p.with_bs) placement = net::BsPlacement::kUniform;
+  const auto placement = sim::engine_placement(
+      p, opt.scheme == sim::Scheme::kSchemeC,
+      net::BsPlacement::kClusteredMatched);
   auto net = net::Network::build(p, mobility::ShapeKind::kUniformDisk,
                                  placement, opt.seed);
   const std::string traffic_spec = f.get_string("traffic", "");
