@@ -9,6 +9,7 @@
 
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace manetcap::flow {
@@ -54,8 +55,15 @@ class ConstraintSet {
   void add(Resource resource, double capacity, double unit_load,
            std::string label = {});
 
+  /// Reserves room for `rows` constraints (a caller that knows its row
+  /// count sizes the set exactly).
+  void reserve(std::size_t rows) { constraints_.reserve(rows); }
+
   std::size_t size() const { return constraints_.size(); }
-  const std::vector<Constraint>& constraints() const { return constraints_; }
+  const std::vector<Constraint>& constraints() const& { return constraints_; }
+  /// Hands the rows over instead of copying them; the set is left empty.
+  /// Solve first: `rates->constraints = std::move(cs).constraints();`.
+  std::vector<Constraint> constraints() && { return std::move(constraints_); }
 
   ThroughputResult solve() const;
 

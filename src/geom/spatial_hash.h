@@ -69,8 +69,9 @@ class SpatialHash {
 
   /// Invokes `fn(id)` for every indexed point with torus_dist(X, point) ≤ r.
   /// The center itself is reported if indexed (callers filter self-matches).
-  /// Template form: the callback inlines, so hot loops (scheme A's μ pass,
-  /// the SINR near field) pay no std::function dispatch per candidate.
+  /// Template form: the callback inlines, so hot loops (the cut-set μ
+  /// passes, the SINR near field) pay no std::function dispatch per
+  /// candidate.
   template <class Fn>
   void visit_disk(Point center, double r, Fn&& fn) const {
     const double r2 = r * r;
@@ -85,6 +86,39 @@ class SpatialHash {
                        if (torus_dist2(center, p) <= r2) fn(id);
                        return true;
                      });
+    }
+  }
+
+  /// Upper half of a pair pass over the indexed set itself: invokes
+  /// fn(id, d2) for every indexed id > `above` with
+  /// d2 = torus_dist2(center, point) ≤ r², in visit_disk's order
+  /// (`center` is normally the point indexed as `above`). Ids ascend within
+  /// a bucket's run, so the ids > `above` of a bucket are a suffix of it;
+  /// the walk starts there and never touches the other half. Snapshot mode
+  /// only: an index that move() converted is refused with a CheckError.
+  template <class Fn>
+  void visit_disk_above(Point center, std::uint32_t above, double r,
+                        Fn&& fn) const {
+    MANETCAP_CHECK_MSG(!incremental_,
+                       "SpatialHash::visit_disk_above needs a build() "
+                       "snapshot; move() converted this index");
+    const double r2 = r * r;
+    const Cover cov = cover(r);
+    const std::int64_t cx = bucket_coord(center.x);
+    const std::int64_t cy = bucket_coord(center.y);
+    const std::uint32_t* ids = ids_.data();
+    for (std::int64_t dy = cov.lo; dy <= cov.hi; ++dy) {
+      const std::size_t row = static_cast<std::size_t>(wrap(cy + dy) * g_);
+      for (std::int64_t dx = cov.lo; dx <= cov.hi; ++dx) {
+        const std::size_t b = row + static_cast<std::size_t>(wrap(cx + dx));
+        const std::uint32_t* end = ids + bucket_start_[b + 1];
+        for (const std::uint32_t* k =
+                 std::upper_bound(ids + bucket_start_[b], end, above);
+             k != end; ++k) {
+          const double d2 = torus_dist2(center, cells_[k - ids]);
+          if (d2 <= r2) fn(*k, d2);
+        }
+      }
     }
   }
 

@@ -65,43 +65,17 @@ std::vector<Cell> SquareTessellation::neighbors4(Cell c) const {
           wrap(c.row, c.col - 1), wrap(c.row, c.col + 1)};
 }
 
-namespace {
-// Signed shortest step count from a to b on a ring of size g, in
-// [-g/2, g/2]; ties broken toward the positive direction.
-int ring_delta(int a, int b, int g) {
-  int d = (b - a) % g;
-  if (d < 0) d += g;          // d in [0, g)
-  if (d > g / 2) d -= g;      // shortest direction
-  return d;
-}
-}  // namespace
-
 int SquareTessellation::hop_distance(Cell a, Cell b) const {
-  return std::abs(ring_delta(a.row, b.row, g_)) +
-         std::abs(ring_delta(a.col, b.col, g_));
+  return std::abs(ring_delta(a.row, b.row)) +
+         std::abs(ring_delta(a.col, b.col));
 }
 
 std::vector<Cell> SquareTessellation::hv_path(Cell src, Cell dst) const {
   std::vector<Cell> path;
   path.reserve(static_cast<std::size_t>(hop_distance(src, dst)) + 1);
   path.push_back(src);
-
-  // Horizontal leg: move column toward dst.col along the shorter direction.
-  int dc = ring_delta(src.col, dst.col, g_);
-  int step = dc >= 0 ? 1 : -1;
-  Cell cur = src;
-  for (int i = 0; i != dc; i += step) {
-    cur = wrap(cur.row, cur.col + step);
-    path.push_back(cur);
-  }
-  // Vertical leg.
-  int dr = ring_delta(cur.row, dst.row, g_);
-  step = dr >= 0 ? 1 : -1;
-  for (int i = 0; i != dr; i += step) {
-    cur = wrap(cur.row + step, cur.col);
-    path.push_back(cur);
-  }
-  MANETCAP_DCHECK(cur == dst);
+  visit_hv_path(src, dst, [&path](Cell c) { path.push_back(c); });
+  MANETCAP_DCHECK(path.back() == dst);
   return path;
 }
 

@@ -68,7 +68,38 @@ class SquareTessellation {
   /// of optimal routing scheme A.
   std::vector<Cell> hv_path(Cell src, Cell dst) const;
 
+  /// Calls fn(cell) for every cell of hv_path(src, dst) after `src`, in
+  /// path order, without building the vector. The cells are distinct, so
+  /// the call for `dst` is the last one.
+  template <class Fn>
+  void visit_hv_path(Cell src, Cell dst, Fn&& fn) const {
+    // Horizontal leg: move column toward dst.col along the shorter
+    // direction, then the vertical leg.
+    const int dc = ring_delta(src.col, dst.col);
+    int step = dc >= 0 ? 1 : -1;
+    Cell cur = src;
+    for (int i = 0; i != dc; i += step) {
+      cur = wrap(cur.row, cur.col + step);
+      fn(cur);
+    }
+    const int dr = ring_delta(cur.row, dst.row);
+    step = dr >= 0 ? 1 : -1;
+    for (int i = 0; i != dr; i += step) {
+      cur = wrap(cur.row + step, cur.col);
+      fn(cur);
+    }
+  }
+
  private:
+  /// Signed shortest step count from a to b on the ring of g cells, in
+  /// [-g/2, g/2]; ties broken toward the positive direction.
+  int ring_delta(int a, int b) const {
+    int d = (b - a) % g_;
+    if (d < 0) d += g_;        // d in [0, g)
+    if (d > g_ / 2) d -= g_;   // shortest direction
+    return d;
+  }
+
   int g_;
 };
 

@@ -17,6 +17,7 @@ LinkCapacityModel::LinkCapacityModel(const mobility::Shape& shape, double f,
   MANETCAP_CHECK(f >= 1.0);
   MANETCAP_CHECK(population >= 1);
   MANETCAP_CHECK(ct > 0.0);
+  cache_constants();
 }
 
 LinkCapacityModel LinkCapacityModel::with_range(const mobility::Shape& shape,
@@ -25,27 +26,22 @@ LinkCapacityModel LinkCapacityModel::with_range(const mobility::Shape& shape,
   MANETCAP_CHECK(range > 0.0);
   LinkCapacityModel model(shape, f, 1, kDefaultCt, delta);
   model.rt_ = range;
+  model.cache_constants();
   return model;
 }
 
-double LinkCapacityModel::meeting_probability_ms_ms(double home_dist) const {
-  const double s0 = shape_->normalization();
-  const double kernel = shape_->eta(f_ * home_dist);
-  return M_PI * rt_ * rt_ * f_ * f_ * kernel / (s0 * s0);
-}
-
-double LinkCapacityModel::meeting_probability_ms_bs(double home_dist) const {
-  const double s0 = shape_->normalization();
-  return M_PI * rt_ * rt_ * f_ * f_ * shape_->density(f_ * home_dist) / s0;
-}
-
-double LinkCapacityModel::isolation_factor() const {
+void LinkCapacityModel::cache_constants() {
   // Expected interferers inside one guard disk in a uniformly dense
   // population: pop · π((1+Δ)R_T)² = π(1+Δ)²c_T². Two (overlapping) disks
   // are bounded by twice that; Poissonization gives the clearing constant.
   const double mean = 2.0 * M_PI * (1.0 + delta_) * (1.0 + delta_) *
                       ct_ * ct_;
-  return std::exp(-mean);
+  isolation_ = std::exp(-mean);
+  // π·R_T²·f² left to right, so pre_·η/S₀² rounds exactly as the single
+  // expression π·R_T·R_T·f·f·η/(S₀·S₀) does.
+  pre_ = M_PI * rt_ * rt_ * f_ * f_;
+  s0_ = shape_->normalization();
+  s0_sq_ = s0_ * s0_;
 }
 
 double LinkCapacityModel::max_contact_dist_ms_ms() const {

@@ -47,23 +47,27 @@ class LinkCapacityModel {
   /// Probability that two nodes with home-distance `d` are within R_T of
   /// each other in stationarity: π·R_T²·f²·η(f·d)/S₀² (Corollary 1's Θ
   /// argument with constants kept).
-  double meeting_probability_ms_ms(double home_dist) const;
+  double meeting_probability_ms_ms(double home_dist) const {
+    return pre_ * shape_->eta(f_ * home_dist) / s0_sq_;
+  }
 
   /// Same for a MS against a static BS at distance `d`:
   /// π·R_T²·f²·s(f·d)/S₀.
-  double meeting_probability_ms_bs(double home_dist) const;
+  double meeting_probability_ms_bs(double home_dist) const {
+    return pre_ * shape_->density(f_ * home_dist) / s0_;
+  }
 
   /// Constant probability that the guard zones of both endpoints are clear
   /// of all other nodes in a uniformly dense network (Poisson thinning with
   /// mean 2π(1+Δ)²c_T² interferer candidates).
-  double isolation_factor() const;
+  double isolation_factor() const { return isolation_; }
 
   /// Full analytic link capacity μ = isolation · meeting probability.
   double mu_ms_ms(double home_dist) const {
-    return isolation_factor() * meeting_probability_ms_ms(home_dist);
+    return isolation_ * meeting_probability_ms_ms(home_dist);
   }
   double mu_ms_bs(double home_dist) const {
-    return isolation_factor() * meeting_probability_ms_bs(home_dist);
+    return isolation_ * meeting_probability_ms_bs(home_dist);
   }
 
   /// Home-distance beyond which μ is exactly zero: (2D + c_T/√pop·f)/f for
@@ -75,11 +79,23 @@ class LinkCapacityModel {
   double f() const { return f_; }
 
  private:
+  /// Recomputes the per-call constants below from shape_, f_, rt_, ct_
+  /// and delta_; every setter of those fields calls it.
+  void cache_constants();
+
   const mobility::Shape* shape_;
   double f_;
   double rt_;
   double ct_;
   double delta_;
+  // μ's constant factors, cached so a call costs one η (or s) lookup: the
+  // isolation factor (one std::exp), π·R_T²·f² and S₀, S₀². Each keeps the
+  // expression shape of the per-call formula it replaces, so μ keeps its
+  // bits.
+  double isolation_ = 0.0;
+  double pre_ = 0.0;
+  double s0_ = 0.0;
+  double s0_sq_ = 0.0;
 };
 
 }  // namespace manetcap::linkcap

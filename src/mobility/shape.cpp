@@ -1,7 +1,12 @@
 #include "mobility/shape.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <map>
+#include <mutex>
+#include <utility>
 
 #include "util/check.h"
 
@@ -10,7 +15,6 @@ namespace manetcap::mobility {
 namespace {
 constexpr int kCdfGrid = 4096;   // fine grid for the radial CDF
 constexpr int kInvCdf = 1024;    // inverse-CDF table entries
-constexpr int kEtaGrid = 128;    // η(x) sample points over [0, 2D]
 constexpr int kEtaQuad = 192;    // Cartesian quadrature points per axis
 }  // namespace
 
@@ -30,7 +34,19 @@ Shape::Shape(ShapeKind kind, double support)
     : kind_(kind), support_(support) {
   MANETCAP_CHECK_MSG(support > 0.0, "shape support must be positive");
   build_radial_cdf();
-  build_eta_table();
+  // One table per (kind, support bit pattern) for the whole process: the
+  // quadrature makes kEtaGrid·kEtaQuad² density calls (~30 ms), and sweeps,
+  // tests and benches build the same shape over and over. The first Shape
+  // of a key builds it under the lock; later ones share it.
+  static std::mutex mutex;
+  static std::map<std::pair<ShapeKind, std::uint64_t>,
+                  std::shared_ptr<const std::vector<double>>>
+      tables;
+  const std::lock_guard<std::mutex> lock(mutex);
+  auto& table = tables[{kind, std::bit_cast<std::uint64_t>(support)}];
+  if (!table)
+    table = std::make_shared<const std::vector<double>>(build_eta_table());
+  eta_table_ = table;
 }
 
 double Shape::density(double d) const {
@@ -99,9 +115,9 @@ geom::Vec2 Shape::sample_displacement(rng::Xoshiro256& g) const {
   return {r * std::cos(theta), r * std::sin(theta)};
 }
 
-void Shape::build_eta_table() {
+std::vector<double> Shape::build_eta_table() const {
   // η(x) = ∫ s(‖X‖)·s(‖X − (x,0)‖) dX, midpoint rule over the support disk.
-  eta_table_.assign(kEtaGrid, 0.0);
+  std::vector<double> eta_table(kEtaGrid, 0.0);
   const double h = 2.0 * support_ / kEtaQuad;
   const double cell = h * h;
   for (int ix = 0; ix < kEtaGrid; ++ix) {
@@ -117,18 +133,9 @@ void Shape::build_eta_table() {
         acc += s1 * density(std::sqrt(dx * dx + py * py));
       }
     }
-    eta_table_[ix] = acc * cell;
+    eta_table[ix] = acc * cell;
   }
-}
-
-double Shape::eta(double x) const {
-  if (x < 0.0) x = -x;
-  const double span = 2.0 * support_;
-  if (x >= span) return 0.0;
-  const double u = x / span * (kEtaGrid - 1);
-  const int i = std::min(static_cast<int>(u), kEtaGrid - 2);
-  const double frac = u - i;
-  return eta_table_[i] * (1.0 - frac) + eta_table_[i + 1] * frac;
+  return eta_table;
 }
 
 double disk_lens_area(double R, double dist) {

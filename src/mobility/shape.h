@@ -10,6 +10,7 @@
 // which governs MS↔MS link capacity: μ(X_i^h, X_j^h) = Θ(f²η(f·d_ij)/n).
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -50,22 +51,36 @@ class Shape {
 
   /// η(x) = ∫ s(‖X − x₀‖) s(‖X‖) dX at ‖x₀‖ = x, from a precomputed table
   /// (closed form for kUniformDisk is used to validate the table in tests).
-  /// η is non-increasing with support [0, 2D].
-  double eta(double x) const;
+  /// η is non-increasing with support [0, 2D]. The table depends only on
+  /// (kind, support): every Shape of one key shares one immutable table,
+  /// built by the first Shape of that key in the process (thread-safe).
+  /// Inline: scheme A's contact pass calls it once per home-point pair.
+  double eta(double x) const {
+    if (x < 0.0) x = -x;
+    const double span = 2.0 * support_;
+    if (x >= span) return 0.0;
+    const double u = x / span * (kEtaGrid - 1);
+    const int i = std::min(static_cast<int>(u), kEtaGrid - 2);
+    const double frac = u - i;
+    const std::vector<double>& table = *eta_table_;
+    return table[i] * (1.0 - frac) + table[i + 1] * frac;
+  }
 
   /// η(0) = ∫ s², the self-overlap (peak of the kernel).
   double eta0() const { return eta(0.0); }
 
  private:
+  static constexpr int kEtaGrid = 128;  // η(x) sample points over [0, 2D]
+
   void build_radial_cdf();
-  void build_eta_table();
+  std::vector<double> build_eta_table() const;
 
   ShapeKind kind_;
   double support_;
   // Inverse-CDF table for radial sampling: radius at quantile i/(N-1).
   std::vector<double> inv_cdf_;
-  // η sampled on a uniform grid over [0, 2D].
-  std::vector<double> eta_table_;
+  // η sampled on a uniform grid over [0, 2D]; shared per (kind, support).
+  std::shared_ptr<const std::vector<double>> eta_table_;
 };
 
 /// Closed-form lens (intersection) area of two disks with common radius R

@@ -10,18 +10,11 @@
 #include "geom/spatial_hash.h"
 #include "geom/tessellation.h"
 #include "linkcap/link_capacity.h"
+#include "routing/routed_contacts.h"
 #include "routing/scheme_a.h"
 #include "util/check.h"
 
 namespace manetcap::routing {
-
-namespace {
-std::uint64_t pair_key(int a, int b) {
-  const std::uint64_t lo = static_cast<std::uint32_t>(std::min(a, b));
-  const std::uint64_t hi = static_cast<std::uint32_t>(std::max(a, b));
-  return (hi << 32) | lo;
-}
-}  // namespace
 
 MulticastTraffic multicast_traffic(std::size_t n, std::size_t g,
                                    rng::Xoshiro256& rng) {
@@ -63,30 +56,12 @@ MulticastResult MulticastSchemeA::evaluate(
 
   linkcap::LinkCapacityModel mu(net.shape(), net.params().f(),
                                 n + net.num_bs());
-  const double contact = mu.max_contact_dist_ms_ms();
 
-  // Wireless capacity between nearby squarelet pairs + per-node airtime —
-  // identical substrate to unicast scheme A.
-  std::unordered_map<std::uint64_t, double> cap;
-  std::vector<double> airtime(n, 0.0);
+  std::vector<geom::Cell> cell_of(n);
   std::vector<int> occupancy(tess.num_cells(), 0);
-  std::vector<int> cell_idx(n);
   for (std::size_t i = 0; i < n; ++i) {
-    cell_idx[i] = tess.index_of(tess.cell_of(home[i]));
-    ++occupancy[cell_idx[i]];
-  }
-  geom::SpatialHash hash(std::max(contact, 1e-4), n);
-  hash.build(home);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    hash.visit_disk(home[i], contact, [&](std::uint32_t j) {
-      if (j <= i) return;
-      const double m = mu.mu_ms_ms(geom::torus_dist(home[i], home[j]));
-      if (m <= 0.0) return;
-      airtime[i] += m;
-      airtime[j] += m;
-      if (cell_idx[i] != cell_idx[j])
-        cap[pair_key(cell_idx[i], cell_idx[j])] += m;
-    });
+    cell_of[i] = tess.cell_of(home[i]);
+    ++occupancy[tess.index_of(cell_of[i])];
   }
 
   // Loads: per flow, the union (tree) or multiset (unicast) of the H-V
@@ -101,39 +76,41 @@ MulticastResult MulticastSchemeA::evaluate(
     endpoint_load[s] += 1.0;
     for (const std::uint32_t d : traffic.dests[s]) {
       endpoint_load[d] += 1.0;
-      const auto path =
-          tess.hv_path(tess.cell_at(cell_idx[s]), tess.cell_at(cell_idx[d]));
-      int prev = tess.index_of(path.front());
-      for (std::size_t h = 1; h < path.size(); ++h) {
-        const int cur = tess.index_of(path[h]);
-        const bool last = h + 1 == path.size();
-        if (!last && occupancy[cur] == 0) continue;
-        const std::uint64_t key = pair_key(prev, cur);
-        unicast_edges += 1.0;
-        if (share_tree_) {
-          if (flow_edges.insert(key).second) {
-            load[key] += 1.0;
-            tree_edges += 1.0;
-          }
-        } else {
-          load[key] += 1.0;
-          tree_edges += 1.0;
-        }
-        prev = cur;
-      }
+      for_each_routed_hop(
+          tess, occupancy, cell_of[s], cell_of[d],
+          [&](geom::Cell a, geom::Cell b) {
+            const std::uint64_t key =
+                cell_pair_key(tess.index_of(a), tess.index_of(b));
+            unicast_edges += 1.0;
+            if (share_tree_) {
+              if (flow_edges.insert(key).second) {
+                load[key] += 1.0;
+                tree_edges += 1.0;
+              }
+            } else {
+              load[key] += 1.0;
+              tree_edges += 1.0;
+            }
+          });
     }
   }
   res.mean_tree_edges = tree_edges / static_cast<double>(n);
   res.mean_unicast_edges = unicast_edges / static_cast<double>(n);
 
+  // Wireless capacity of the routed squarelet pairs + per-node airtime —
+  // the same routed contact pass as unicast scheme A.
+  const RoutedCellPairs pairs(tess, mu.max_contact_dist_ms_ms(), load);
+  const RoutedContacts contacts =
+      routed_contact_pass(home, cell_of, pairs, mu, 1.0);
+  const std::vector<double>& airtime = contacts.airtime;
+
   flow::ConstraintSet cs;
   double cap_sum = 0.0, load_sum = 0.0;
-  for (const auto& [key, demanded] : load) {
-    auto it = cap.find(key);
-    const double capacity = it == cap.end() ? 0.0 : it->second;
-    cs.add(flow::Resource::kWirelessRelay, capacity, demanded);
-    cap_sum += capacity;
-    load_sum += demanded;
+  for (std::uint32_t slot = 0; slot < pairs.size(); ++slot) {
+    cs.add(flow::Resource::kWirelessRelay, contacts.cap[slot],
+           pairs.load(slot));
+    cap_sum += contacts.cap[slot];
+    load_sum += pairs.load(slot);
   }
   for (std::uint32_t i = 0; i < n; ++i) {
     if (endpoint_load[i] > 0.0)

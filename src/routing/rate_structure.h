@@ -9,6 +9,13 @@
 // fill a RateStructure on demand (pass nullptr to skip; the extra
 // bookkeeping is only paid when requested).
 //
+// Note order: an evaluator notes flow by flow, flows ascending — every
+// note of flow f comes before any note of a flow above f (a flow may have
+// no notes at all). The CSR is then built as the notes arrive: when a
+// flow's first note opens its run, the previous run is sorted by cid,
+// merged and appended. A note for a flow below the open one, or for a flow
+// ≥ n, is refused with a CheckError.
+//
 // Invariants after finalize():
 //   - constraints mirrors the evaluator's ConstraintSet row-for-row, so
 //     ConstraintSet-style min(cap/load) over `constraints` reproduces the
@@ -17,6 +24,7 @@
 //     sentinel rows may be oversubscribed; they force λ_f = 0 regardless).
 //   - flow f's incidence is incid_cid/incid_coeff[flow_start[f] ..
 //     flow_start[f+1]), cids ascending, duplicates merged.
+//   - constraints, incid_cid and incid_coeff hold no spare capacity.
 #pragma once
 
 #include <cstdint>
@@ -50,21 +58,30 @@ struct RateStructure {
   /// Clears everything and sizes the per-flow tables for n flows.
   void reset(std::size_t n);
 
-  /// Stages "flow f loads constraint cid with coefficient coeff".
-  /// Duplicate (flow, cid) notes accumulate.
+  /// Sizes the incidence for `notes` notes. An evaluator that knows its
+  /// note count (merged duplicates aside) reserves it, so the CSR grows in
+  /// place with no reallocation and finalize() has nothing to shrink.
+  void reserve_notes(std::size_t notes);
+
+  /// Records "flow f loads constraint cid with coefficient coeff", in the
+  /// note order above. Duplicate (flow, cid) notes accumulate.
   void note(std::uint32_t flow, std::uint32_t cid, double coeff);
 
-  /// Builds the CSR from the staged notes (counting sort by flow, cids
-  /// ascending within a flow, duplicates merged).
+  /// Closes the last flow's run, completes flow_start for the flows above
+  /// it and trims every table to its size.
   void finalize();
 
  private:
-  struct Entry {
-    std::uint32_t flow;
+  /// Sorts the open flow's run by cid (std::sort, as the notes arrived),
+  /// merges duplicate cids in that order and appends the run to the CSR.
+  void close_run();
+
+  struct Note {
     std::uint32_t cid;
     double coeff;
   };
-  std::vector<Entry> staging_;
+  std::vector<Note> run_;   // the open flow's notes, in arrival order
+  std::uint32_t open_ = 0;  // the open flow; every flow below it is closed
 };
 
 }  // namespace manetcap::routing

@@ -5,21 +5,12 @@
 #include <limits>
 #include <unordered_map>
 
-#include "geom/spatial_hash.h"
 #include "geom/tessellation.h"
 #include "linkcap/link_capacity.h"
+#include "routing/routed_contacts.h"
 #include "util/check.h"
 
 namespace manetcap::routing {
-
-namespace {
-/// Unordered cell-index pair key for the capacity/load maps.
-std::uint64_t pair_key(int a, int b) {
-  const std::uint64_t lo = static_cast<std::uint32_t>(std::min(a, b));
-  const std::uint64_t hi = static_cast<std::uint32_t>(std::max(a, b));
-  return (hi << 32) | lo;
-}
-}  // namespace
 
 SchemeA::SchemeA(double cell_side_factor)
     : cell_side_factor_(cell_side_factor) {
@@ -57,89 +48,70 @@ SchemeAResult SchemeA::evaluate(const net::Network& net,
 
   linkcap::LinkCapacityModel mu(net.shape(), net.params().f(),
                                 n + net.num_bs());
-  const double contact = mu.max_contact_dist_ms_ms();
-
-  // --- wireless capacity between nearby squarelet pairs -------------------
-  // cap[{A,B}] = Σ μ(i,j) over home-point pairs i∈A, j∈B within contact.
-  // Routing normally hops between 4-adjacent cells; when a path cell is
-  // empty the flow skips to the next occupied cell, so capacity is
-  // accumulated for every in-contact cell pair, not just adjacencies.
-  std::unordered_map<std::uint64_t, double> cap;
-  // Total contact airtime per node: Σ_j μ(i,j). Sources inject their flow
-  // directly into relays around them (Definition 11 forwards between
-  // contiguous squarelets) and destinations drain the same way.
-  std::vector<double> airtime(n, 0.0);
-  std::vector<int> occupancy(tess.num_cells(), 0);
 
   std::vector<geom::Cell> cell_of(n);
-  std::vector<int> cell_idx(n);
+  std::vector<int> occupancy(tess.num_cells(), 0);
   for (std::size_t i = 0; i < n; ++i) {
     cell_of[i] = tess.cell_of(home[i]);
-    cell_idx[i] = tess.index_of(cell_of[i]);
-    ++occupancy[cell_idx[i]];
-  }
-
-  geom::SpatialHash hash(std::max(contact, 1e-4), n);
-  hash.build(home);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    hash.visit_disk(home[i], contact, [&](std::uint32_t j) {
-      if (j <= i) return;
-      const double m =
-          bandwidth_share * mu.mu_ms_ms(geom::torus_dist(home[i], home[j]));
-      if (m <= 0.0) return;
-      airtime[i] += m;
-      airtime[j] += m;
-      if (cell_idx[i] != cell_idx[j])
-        cap[pair_key(cell_idx[i], cell_idx[j])] += m;
-    });
+    ++occupancy[tess.index_of(cell_of[i])];
   }
 
   // --- loads from H-V routing of the permutation flows -------------------
   // Empty cells on a path are skipped: the flow hops from the last
   // occupied cell directly to the next occupied one (still within contact
-  // for a single empty cell, which is the w.h.p. worst case).
+  // for a single empty cell, which is the w.h.p. worst case). The map's
+  // iteration order is the pair rows' order.
   std::unordered_map<std::uint64_t, double> load;
-  double total_hops = 0.0;
+  std::size_t total_hops = 0;
   std::size_t included_flows = 0;
   for (std::uint32_t s = 0; s < n; ++s) {
     if (!included(s)) continue;
     ++included_flows;
-    const auto path = tess.hv_path(cell_of[s], cell_of[dest[s]]);
-    int prev = tess.index_of(path.front());
-    for (std::size_t h = 1; h < path.size(); ++h) {
-      const int cur = tess.index_of(path[h]);
-      const bool last = h + 1 == path.size();
-      if (!last && occupancy[cur] == 0) continue;  // detour over empty cell
-      load[pair_key(prev, cur)] += 1.0;
-      total_hops += 1.0;
-      prev = cur;
-    }
+    for_each_routed_hop(tess, occupancy, cell_of[s], cell_of[dest[s]],
+                        [&](geom::Cell a, geom::Cell b) {
+                          load[cell_pair_key(tess.index_of(a),
+                                             tess.index_of(b))] += 1.0;
+                          ++total_hops;
+                        });
   }
-  res.mean_hops =
-      included_flows ? total_hops / static_cast<double>(included_flows) : 0.0;
+  res.mean_hops = included_flows ? static_cast<double>(total_hops) /
+                                       static_cast<double>(included_flows)
+                                 : 0.0;
+
+  // --- wireless capacity of the routed squarelet pairs --------------------
+  // cap[slot] = Σ μ(i,j) over home-point pairs i∈A, j∈B within contact, for
+  // every routed pair {A,B} — detours make that more than adjacencies.
+  // Total contact airtime per node: Σ_j μ(i,j). Sources inject their flow
+  // directly into relays around them (Definition 11 forwards between
+  // contiguous squarelets) and destinations drain the same way.
+  const RoutedCellPairs pairs(tess, mu.max_contact_dist_ms_ms(), load);
+  const RoutedContacts contacts =
+      routed_contact_pass(home, cell_of, pairs, mu, bandwidth_share);
+  const std::vector<double>& cap = contacts.cap;
+  const std::vector<double>& airtime = contacts.airtime;
 
   // --- assemble constraints ----------------------------------------------
-  flow::ConstraintSet cs;
-  std::unordered_map<std::uint64_t, std::uint32_t> pair_cid;
-  double min_cap = std::numeric_limits<double>::infinity();
-  double max_load = 0.0;
-  for (const auto& [key, demanded] : load) {
-    auto it = cap.find(key);
-    const double capacity = it == cap.end() ? 0.0 : it->second;
-    if (rates != nullptr)
-      pair_cid[key] = static_cast<std::uint32_t>(cs.size());
-    cs.add(flow::Resource::kWirelessRelay, capacity, demanded);
-    min_cap = std::min(min_cap, capacity);
-    max_load = std::max(max_load, demanded);
-  }
-  // Endpoint constraints: node i must inject its flow (as source) and
-  // drain its inbound flow (as destination) within its own contact
-  // airtime; excluded flows impose no endpoint demand here.
+  // Pair rows first, slot s as row s; then endpoint constraints: node i
+  // must inject its flow (as source) and drain its inbound flow (as
+  // destination) within its own contact airtime; excluded flows impose no
+  // endpoint demand here.
   std::vector<double> endpoint_load(n, 0.0);
   for (std::uint32_t s = 0; s < n; ++s) {
     if (!included(s)) continue;
     endpoint_load[s] += 1.0;
     endpoint_load[dest[s]] += 1.0;
+  }
+  flow::ConstraintSet cs;
+  cs.reserve(pairs.size() +
+             static_cast<std::size_t>(std::count_if(
+                 endpoint_load.begin(), endpoint_load.end(),
+                 [](double l) { return l > 0.0; })));
+  double min_cap = std::numeric_limits<double>::infinity();
+  double max_load = 0.0;
+  for (std::uint32_t slot = 0; slot < pairs.size(); ++slot) {
+    cs.add(flow::Resource::kWirelessRelay, cap[slot], pairs.load(slot));
+    min_cap = std::min(min_cap, cap[slot]);
+    max_load = std::max(max_load, pairs.load(slot));
   }
   constexpr std::uint32_t kNoCid = ~std::uint32_t{0};
   std::vector<std::uint32_t> endpoint_cid;
@@ -151,26 +123,23 @@ SchemeAResult SchemeA::evaluate(const net::Network& net,
       cs.add(flow::Resource::kWirelessRelay, airtime[i], endpoint_load[i]);
     }
   }
+  res.throughput = cs.solve();
 
   // Per-flow incidence: re-walk each included flow's H-V path with the
   // same empty-cell detours the load pass took, tying the flow to its
-  // cell-pair rows and both endpoint rows.
+  // cell-pair rows (row = slot) and both endpoint rows.
   if (rates != nullptr) {
-    rates->constraints = cs.constraints();
+    rates->constraints = std::move(cs).constraints();
+    rates->reserve_notes(total_hops + 2 * included_flows);
     for (std::uint32_t s = 0; s < n; ++s) {
       if (!included(s)) continue;
       rates->flow_served[s] = 1;
-      const auto path = tess.hv_path(cell_of[s], cell_of[dest[s]]);
-      int prev = tess.index_of(path.front());
       double hops = 0.0;
-      for (std::size_t h = 1; h < path.size(); ++h) {
-        const int cur = tess.index_of(path[h]);
-        const bool last = h + 1 == path.size();
-        if (!last && occupancy[cur] == 0) continue;
-        rates->note(s, pair_cid.at(pair_key(prev, cur)), 1.0);
-        hops += 1.0;
-        prev = cur;
-      }
+      for_each_routed_hop(tess, occupancy, cell_of[s], cell_of[dest[s]],
+                          [&](geom::Cell a, geom::Cell b) {
+                            rates->note(s, pairs.slot(a, b), 1.0);
+                            hops += 1.0;
+                          });
       rates->flow_hops[s] = std::max(hops, 1.0);
       if (endpoint_cid[s] != kNoCid) rates->note(s, endpoint_cid[s], 1.0);
       if (endpoint_cid[dest[s]] != kNoCid)
@@ -179,17 +148,15 @@ SchemeAResult SchemeA::evaluate(const net::Network& net,
     rates->finalize();
   }
 
-  res.throughput = cs.solve();
   res.min_intercell_capacity = std::isfinite(min_cap) ? min_cap : 0.0;
   res.max_intercell_load = max_load;
 
   // Typical-resource (symmetric) estimate.
   {
     double cap_sum = 0.0, load_sum = 0.0;
-    for (const auto& [key, demanded] : load) {
-      auto it = cap.find(key);
-      cap_sum += it == cap.end() ? 0.0 : it->second;
-      load_sum += demanded;
+    for (std::uint32_t slot = 0; slot < pairs.size(); ++slot) {
+      cap_sum += cap[slot];
+      load_sum += pairs.load(slot);
     }
     std::vector<double> at = airtime;
     std::nth_element(at.begin(), at.begin() + at.size() / 2, at.end());

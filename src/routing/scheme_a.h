@@ -3,9 +3,10 @@
 // through random relays in contiguous squarelets. Achieves Θ(1/f(n)) in the
 // uniformly dense regime (Lemma 5 / Theorem 3).
 //
-// Fluid evaluation: inter-squarelet wireless capacity is the sum of S* link
-// capacities μ(i,j) over home-point pairs in adjacent squarelets; loads come
-// from routing every permutation flow along its H-V squarelet path. When the
+// Fluid evaluation: loads come from routing every permutation flow along
+// its H-V squarelet path; the wireless capacity of each routed squarelet
+// pair is the sum of S* link capacities μ(i,j) over its home-point pairs
+// within contact (routing/routed_contacts.h). When the
 // mobility disk covers a constant fraction of the torus (f(n) = Θ(1), fewer
 // than kMinGrid cells fit) scheme A degenerates into two-hop relay and the
 // caller should use TwoHopRelay instead; evaluate() reports that via

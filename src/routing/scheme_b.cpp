@@ -204,8 +204,9 @@ SchemeBResult SchemeB::evaluate(const net::Network& net,
   // the reached BS rows in proportion to the access split (the same
   // m/µ_i^A weights the aggregate pass used), and — when it crosses
   // groups — an even share of the worst backbone edge's load.
+  res.throughput = cs.solve();
   if (rates != nullptr) {
-    rates->constraints = cs.constraints();
+    rates->constraints = std::move(cs).constraints();
     double wired_flows = 0.0;
     for (std::uint32_t s = 0; s < n; ++s) {
       if (!included(s)) continue;
@@ -235,8 +236,6 @@ SchemeBResult SchemeB::evaluate(const net::Network& net,
     }
     rates->finalize();
   }
-
-  res.throughput = cs.solve();
 
   // Typical-resource (symmetric) estimate: mean access + fluid backbone.
   {

@@ -170,8 +170,9 @@ SchemeCResult SchemeC::evaluate(const net::Network& net,
 
   // Per-flow incidence: uplink into the source's cell, downlink out of the
   // destination's, plus the Valiant backbone share when the cells differ.
+  res.throughput = cs.solve();
   if (rates != nullptr) {
-    rates->constraints = cs.constraints();
+    rates->constraints = std::move(cs).constraints();
     for (std::uint32_t s = 0; s < n; ++s) {
       const std::uint32_t d = dest[s];
       if (serving[s] == kNone || serving[d] == kNone) continue;  // unserved
@@ -185,8 +186,6 @@ SchemeCResult SchemeC::evaluate(const net::Network& net,
     }
     rates->finalize();
   }
-
-  res.throughput = cs.solve();
 
   // Typical-resource (symmetric) estimate: replaces the strict min over
   // cells by the mean cell — converges to the Θ law without the

@@ -45,8 +45,9 @@ StaticMultihopResult StaticMultihop::evaluate_uniform(
     flow::ConstraintSet cs;
     cs.add(flow::Resource::kWirelessRelay, 1.0,
            static_cast<double>(n));
+    res.throughput = cs.solve();
     if (rates != nullptr) {
-      rates->constraints = cs.constraints();
+      rates->constraints = std::move(cs).constraints();
       for (std::uint32_t s = 0; s < n; ++s) {
         rates->note(s, 0, 1.0);
         rates->flow_served[s] = 1;
@@ -54,7 +55,6 @@ StaticMultihopResult StaticMultihop::evaluate_uniform(
       }
       rates->finalize();
     }
-    res.throughput = cs.solve();
     res.mean_duty_cycle = 1.0;
     return res;
   }
@@ -108,8 +108,9 @@ StaticMultihopResult StaticMultihop::evaluate_uniform(
   }
   // Per-flow incidence: every visited cell (endpoints included), plus the
   // zero-capacity sentinel for flows whose path crosses an empty cell.
+  res.throughput = cs.solve();
   if (rates != nullptr) {
-    rates->constraints = cs.constraints();
+    rates->constraints = std::move(cs).constraints();
     for (std::uint32_t s = 0; s < n; ++s) {
       const auto path =
           tess.hv_path(tess.cell_of(home[s]), tess.cell_of(home[dest[s]]));
@@ -127,7 +128,6 @@ StaticMultihopResult StaticMultihop::evaluate_uniform(
     }
     rates->finalize();
   }
-  res.throughput = cs.solve();
   res.lambda_symmetric =
       broken || loaded_cells == 0
           ? 0.0
@@ -244,8 +244,9 @@ StaticMultihopResult StaticMultihop::evaluate_clustered(
       loaded ? duty_sum / static_cast<double>(loaded) : 0.0;
   // Per-flow incidence: re-walk each connected flow's cluster chain;
   // disconnected flows carry nothing (flow_served stays 0).
+  res.throughput = cs.solve();
   if (rates != nullptr) {
-    rates->constraints = cs.constraints();
+    rates->constraints = std::move(cs).constraints();
     for (std::uint32_t s = 0; s < n; ++s) {
       const std::uint32_t cs_ = layout.cluster_of[s];
       const std::uint32_t cd = layout.cluster_of[dest[s]];
@@ -263,7 +264,6 @@ StaticMultihopResult StaticMultihop::evaluate_clustered(
     }
     rates->finalize();
   }
-  res.throughput = cs.solve();
   // mean duty / mean load over loaded clusters = duty_sum / load_sum.
   res.lambda_symmetric =
       disconnected || loaded == 0 ? 0.0 : duty_sum / load_sum;

@@ -69,13 +69,13 @@ TwoHopResult TwoHopRelay::evaluate(const net::Network& net,
     }
     cs.add(flow::Resource::kWirelessRelay, cap, 1.0);
   }
+  res.throughput = cs.solve();
   if (rates != nullptr) {
-    rates->constraints = cs.constraints();
+    rates->constraints = std::move(cs).constraints();
     rates->finalize();
   }
 
   res.mean_relay_pool = pool_sum / static_cast<double>(n);
-  res.throughput = cs.solve();
   res.lambda_symmetric = cap_sum / static_cast<double>(n);
   return res;
 }

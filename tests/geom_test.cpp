@@ -329,6 +329,56 @@ TEST(SpatialHash, AllCandidatesExcludedReportsSentinel) {
   EXPECT_EQ(hash.nearest({0.5, 0.5}, SpatialHash::kNone), 0u);
 }
 
+// The upper-half visit reports exactly visit_disk's ids above the given
+// one, in visit_disk's order, with d² equal to torus_dist2 bit for bit (so
+// its square root is torus_dist). Points include seam neighbours and a
+// dense clump, radii span one bucket to the whole torus.
+TEST(SpatialHash, VisitDiskAboveIsTheUpperHalfOfVisitDisk) {
+  std::vector<Point> pts;
+  std::uint64_t x = 12345;
+  auto next01 = [&x] {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<double>(x >> 11) * 0x1.0p-53;
+  };
+  for (int i = 0; i < 400; ++i) pts.push_back({next01(), next01()});
+  for (int i = 0; i < 60; ++i)
+    pts.push_back(Point::wrapped(0.995 + 0.01 * next01(), 0.5 + 0.01 * next01()));
+  for (const double hint : {0.02, 0.05, 0.3}) {
+    SpatialHash hash(hint, pts.size());
+    hash.build(pts);
+    for (const double r : {0.0, 0.02, hint, 0.2, 0.8}) {
+      for (std::uint32_t i = 0; i < pts.size(); ++i) {
+        std::vector<std::uint32_t> want;
+        hash.visit_disk(pts[i], r, [&](std::uint32_t j) {
+          if (j > i) want.push_back(j);
+        });
+        std::vector<std::uint32_t> got;
+        hash.visit_disk_above(pts[i], i, r, [&](std::uint32_t j, double d2) {
+          got.push_back(j);
+          EXPECT_EQ(d2, torus_dist2(pts[i], pts[j]));
+          EXPECT_EQ(std::sqrt(d2), torus_dist(pts[i], pts[j]));
+        });
+        ASSERT_EQ(got, want) << "hint " << hint << " r " << r << " id " << i;
+      }
+    }
+  }
+}
+
+TEST(SpatialHash, VisitDiskAboveRefusesAMovedIndex) {
+  std::vector<Point> pts = {{0.1, 0.1}, {0.12, 0.1}, {0.5, 0.5}};
+  SpatialHash hash(0.1, pts.size());
+  hash.build(pts);
+  hash.move(2, pts[2], {0.55, 0.5});
+  EXPECT_THROW(hash.visit_disk_above(pts[0], 0, 0.1,
+                                     [](std::uint32_t, double) {}),
+               CheckError);
+  hash.build(pts);  // a fresh snapshot is accepted again
+  std::size_t seen = 0;
+  hash.visit_disk_above(pts[0], 0, 0.1,
+                        [&](std::uint32_t, double) { ++seen; });
+  EXPECT_EQ(seen, 1u);
+}
+
 TEST(SpatialHash, NearestMatchesBruteForceOnClusteredPoints) {
   // The ring search must agree with brute force even when points are
   // clustered far from the probe (many empty rings before the first hit)

@@ -75,6 +75,38 @@ TEST(LinkCapacityModel, ContactDistances) {
   EXPECT_NEAR(m.max_contact_dist_ms_bs(), 0.1 + m.range(), 1e-12);
 }
 
+// μ's constant factors are cached at construction (and refreshed by
+// with_range); every μ must keep the bits of the one-expression formula
+// isolation · π·R_T²·f²·η(f·d)/S₀² (resp. ·s(f·d)/S₀) it replaces.
+TEST(LinkCapacityModel, CachedConstantsKeepTheFormulaBits) {
+  for (const ShapeKind kind : {ShapeKind::kUniformDisk, ShapeKind::kTriangular,
+                               ShapeKind::kQuadratic}) {
+    const Shape s(kind, 1.3);
+    const double f = 37.5;
+    const LinkCapacityModel pop(s, f, 123457, 0.27, 0.8);
+    const LinkCapacityModel ranged =
+        LinkCapacityModel::with_range(s, f, 0.0123, 0.6);
+    EXPECT_EQ(ranged.range(), 0.0123);
+    const struct {
+      const LinkCapacityModel* m;
+      double rt, ct, delta;
+    } models[] = {{&pop, 0.27 / std::sqrt(123457.0), 0.27, 0.8},
+                  {&ranged, 0.0123, LinkCapacityModel::kDefaultCt, 0.6}};
+    for (const auto& c : models) {
+      const double iso = std::exp(-(2.0 * M_PI * (1.0 + c.delta) *
+                                    (1.0 + c.delta) * c.ct * c.ct));
+      EXPECT_EQ(c.m->isolation_factor(), iso);
+      const double s0 = s.normalization();
+      for (double d = 0.0; d < 0.08; d += 0.0007) {
+        const double ms = M_PI * c.rt * c.rt * f * f * s.eta(f * d) / (s0 * s0);
+        const double bs = M_PI * c.rt * c.rt * f * f * s.density(f * d) / s0;
+        EXPECT_EQ(c.m->mu_ms_ms(d), iso * ms) << to_string(kind) << " " << d;
+        EXPECT_EQ(c.m->mu_ms_bs(d), iso * bs) << to_string(kind) << " " << d;
+      }
+    }
+  }
+}
+
 // -------------------------------------------------- Monte-Carlo checks ----
 
 TEST(MeetingProbability, MatchesAnalyticAtZeroDistance) {

@@ -2,13 +2,16 @@
 
 #include <array>
 #include <cmath>
+#include <memory>
 #include <numeric>
+#include <vector>
 
 #include "mobility/home_points.h"
 #include "mobility/process.h"
 #include "mobility/shape.h"
 #include "rng/rng.h"
 #include "util/check.h"
+#include "util/thread_pool.h"
 
 namespace manetcap::mobility {
 namespace {
@@ -126,6 +129,53 @@ TEST(Shape, SupportScalesFamilies) {
 TEST(Shape, InvalidSupportThrows) {
   EXPECT_THROW(Shape(ShapeKind::kUniformDisk, 0.0), CheckError);
   EXPECT_THROW(Shape(ShapeKind::kUniformDisk, -1.0), CheckError);
+}
+
+// η at 0 (∫ s²) and at 0.7·D for every family, pinned to the bits the
+// per-Shape table had before it was shared.
+TEST(Shape, EtaKeepsItsPinnedBits) {
+  const struct {
+    ShapeKind kind;
+    double support;
+    double eta0;
+    double eta_07;
+  } pinned[] = {
+      {ShapeKind::kUniformDisk, 1.0, 0x1.9255555555555p+1,
+       0x1.c580b60b60b61p+0},
+      {ShapeKind::kUniformDisk, 0.5, 0x1.9255555555555p-1,
+       0x1.c580b60b60b61p-2},
+      {ShapeKind::kTriangular, 1.0, 0x1.0c151e4bdd348p-1,
+       0x1.0ec7bd8838c95p-2},
+      {ShapeKind::kTriangular, 0.5, 0x1.0c151e4bdd348p-3,
+       0x1.0ec7bd8838c95p-4},
+      {ShapeKind::kQuadratic, 1.0, 0x1.0c1523403b03cp+0,
+       0x1.248760eeb42b2p-1},
+      {ShapeKind::kQuadratic, 0.5, 0x1.0c1523403b03cp-2,
+       0x1.248760eeb42b2p-3},
+  };
+  for (const auto& p : pinned) {
+    const Shape s(p.kind, p.support);
+    EXPECT_EQ(s.eta0(), p.eta0) << to_string(p.kind) << " " << p.support;
+    EXPECT_EQ(s.eta(0.7 * p.support), p.eta_07)
+        << to_string(p.kind) << " " << p.support;
+  }
+}
+
+// Shapes of one (kind, support) built concurrently share one η table: all
+// of them, and one built afterwards, read the same bits everywhere. The
+// support is used by no other test, so the table is built here, under
+// contention.
+TEST(Shape, EtaTableSharedAcrossConcurrentBuilds) {
+  constexpr std::size_t kShapes = 16;
+  std::vector<std::unique_ptr<Shape>> shapes(kShapes);
+  util::ThreadPool::shared().parallel_for(kShapes, [&](std::size_t i) {
+    shapes[i] = std::make_unique<Shape>(ShapeKind::kQuadratic, 1.375);
+  });
+  const Shape later(ShapeKind::kQuadratic, 1.375);
+  for (double x = 0.0; x <= 2.0 * 1.375; x += 0.01) {
+    for (const auto& s : shapes) ASSERT_EQ(s->eta(x), later.eta(x)) << x;
+  }
+  EXPECT_GT(later.eta0(), 0.0);
 }
 
 // ---------------------------------------------------------- home points --
