@@ -1,7 +1,6 @@
 #include "mobility/process.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 
 #include "util/check.h"
@@ -14,42 +13,37 @@ namespace {
 // coordinate vectors as fixed-width f64 pairs. Sizes are length-prefixed
 // and validated against the restoring instance, so a blob from a
 // differently-sized run fails loudly instead of silently misaligning.
-using util::binio::ByteReader;
-using util::binio::get_f64;
-using util::binio::put_f64;
-using util::binio::put_u64_fixed;
-using util::binio::put_varint;
-
-void put_rng(std::vector<std::uint8_t>& out, const rng::Xoshiro256& g) {
-  for (std::uint64_t w : g.state()) put_u64_fixed(out, w);
-}
-
-void get_rng(ByteReader& r, rng::Xoshiro256& g) {
-  std::array<std::uint64_t, 4> s;
-  for (auto& w : s) w = r.u64_fixed();
-  g.set_state(s);
-}
-
-template <class V>  // geom::Point or geom::Vec2 (both {double x, y})
-void put_coords(std::vector<std::uint8_t>& out, const std::vector<V>& v) {
-  put_varint(out, v.size());
-  for (const V& p : v) {
-    put_f64(out, p.x);
-    put_f64(out, p.y);
-  }
-}
+using util::binio::Walker;
 
 template <class V>
-void get_coords(ByteReader& r, std::vector<V>& v) {
-  MANETCAP_CHECK_MSG(r.varint() == v.size(),
-                     r.label << ": mobility state size mismatch");
-  for (V& p : v) {
-    p.x = get_f64(r);
-    p.y = get_f64(r);
+void walk_size(Walker& w, const std::vector<V>& v) {
+  std::uint64_t size = v.size();
+  w.varint(size);
+  MANETCAP_CHECK_MSG(size == v.size(),
+                     w.label() << ": mobility state size mismatch");
+}
+
+void walk_positions(Walker& w, std::vector<geom::Point>& pos) {
+  walk_size(w, pos);
+  for (geom::Point& p : pos) walk_position(w, p);
+}
+
+void walk_offsets(Walker& w, std::vector<geom::Vec2>& offset) {
+  walk_size(w, offset);
+  for (geom::Vec2& v : offset) {
+    w.xy(v);
+    MANETCAP_CHECK_MSG(std::isfinite(v.x) && std::isfinite(v.y),
+                       w.label() << ": non-finite mobility offset");
   }
 }
 
 }  // namespace
+
+void walk_position(Walker& w, geom::Point& p) {
+  w.xy(p);
+  MANETCAP_CHECK_MSG(p.x >= 0.0 && p.x < 1.0 && p.y >= 0.0 && p.y < 1.0,
+                     w.label() << ": position outside the unit torus");
+}
 
 IidStationaryMobility::IidStationaryMobility(
     std::vector<geom::Point> home_points, const Shape& shape, double inv_f,
@@ -70,14 +64,9 @@ void IidStationaryMobility::step() {
   }
 }
 
-void IidStationaryMobility::save_state(std::vector<std::uint8_t>& out) const {
-  put_rng(out, rng_);
-  put_coords(out, pos_);
-}
-
-void IidStationaryMobility::load_state(ByteReader& r) {
-  get_rng(r, rng_);
-  get_coords(r, pos_);
+void IidStationaryMobility::walk_state(Walker& w) {
+  w.rng(rng_);
+  walk_positions(w, pos_);
 }
 
 BoundedRandomWalk::BoundedRandomWalk(std::vector<geom::Point> home_points,
@@ -117,16 +106,10 @@ void BoundedRandomWalk::step() {
   }
 }
 
-void BoundedRandomWalk::save_state(std::vector<std::uint8_t>& out) const {
-  put_rng(out, rng_);
-  put_coords(out, offset_);
-  put_coords(out, pos_);
-}
-
-void BoundedRandomWalk::load_state(ByteReader& r) {
-  get_rng(r, rng_);
-  get_coords(r, offset_);
-  get_coords(r, pos_);
+void BoundedRandomWalk::walk_state(Walker& w) {
+  w.rng(rng_);
+  walk_offsets(w, offset_);
+  walk_positions(w, pos_);
 }
 
 BrownianTorusMobility::BrownianTorusMobility(std::vector<geom::Point> start,
@@ -143,14 +126,9 @@ void BrownianTorusMobility::step() {
   }
 }
 
-void BrownianTorusMobility::save_state(std::vector<std::uint8_t>& out) const {
-  put_rng(out, rng_);
-  put_coords(out, pos_);
-}
-
-void BrownianTorusMobility::load_state(ByteReader& r) {
-  get_rng(r, rng_);
-  get_coords(r, pos_);
+void BrownianTorusMobility::walk_state(Walker& w) {
+  w.rng(rng_);
+  walk_positions(w, pos_);
 }
 
 PullHomeMobility::PullHomeMobility(std::vector<geom::Point> home_points,
@@ -195,16 +173,10 @@ void PullHomeMobility::step() {
   }
 }
 
-void PullHomeMobility::save_state(std::vector<std::uint8_t>& out) const {
-  put_rng(out, rng_);
-  put_coords(out, offset_);
-  put_coords(out, pos_);
-}
-
-void PullHomeMobility::load_state(ByteReader& r) {
-  get_rng(r, rng_);
-  get_coords(r, offset_);
-  get_coords(r, pos_);
+void PullHomeMobility::walk_state(Walker& w) {
+  w.rng(rng_);
+  walk_offsets(w, offset_);
+  walk_positions(w, pos_);
 }
 
 }  // namespace manetcap::mobility

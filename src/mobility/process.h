@@ -44,14 +44,18 @@ class MobilityProcess {
 
   virtual std::string name() const = 0;
 
-  /// Checkpoint support: appends the evolving state (RNG stream, current
+  /// Checkpoint support: walks the evolving state (RNG stream, current
   /// positions and, where present, home offsets — never the immutable
-  /// construction parameters) to `out` / restores it from `r`. A process
-  /// restored into a like-constructed instance continues the identical
-  /// trajectory bit-for-bit.
-  virtual void save_state(std::vector<std::uint8_t>& out) const = 0;
-  virtual void load_state(util::binio::ByteReader& r) = 0;
+  /// construction parameters). Writing appends it; reading restores it
+  /// into a like-constructed instance, which then continues the identical
+  /// trajectory bit-for-bit, and rejects a position outside the unit torus
+  /// or a non-finite offset with a named CheckError.
+  virtual void walk_state(util::binio::Walker& w) = 0;
 };
+
+/// Walks one torus position; reading rejects a point outside [0, 1)²
+/// (NaN included) with a named CheckError.
+void walk_position(util::binio::Walker& w, geom::Point& p);
 
 /// Fresh i.i.d. stationary draw every slot: X_i(t) = X_i^h + V/f, V ~ s.
 class IidStationaryMobility final : public MobilityProcess {
@@ -64,8 +68,7 @@ class IidStationaryMobility final : public MobilityProcess {
   void step() override;
   const std::vector<geom::Point>& positions() const override { return pos_; }
   std::string name() const override { return "iid-stationary"; }
-  void save_state(std::vector<std::uint8_t>& out) const override;
-  void load_state(util::binio::ByteReader& r) override;
+  void walk_state(util::binio::Walker& w) override;
 
  private:
   std::vector<geom::Point> home_;
@@ -88,8 +91,7 @@ class BoundedRandomWalk final : public MobilityProcess {
   void step() override;
   const std::vector<geom::Point>& positions() const override { return pos_; }
   std::string name() const override { return "bounded-walk"; }
-  void save_state(std::vector<std::uint8_t>& out) const override;
-  void load_state(util::binio::ByteReader& r) override;
+  void walk_state(util::binio::Walker& w) override;
 
  private:
   std::vector<geom::Point> home_;
@@ -115,8 +117,7 @@ class BrownianTorusMobility final : public MobilityProcess {
   void step() override;
   const std::vector<geom::Point>& positions() const override { return pos_; }
   std::string name() const override { return "brownian-torus"; }
-  void save_state(std::vector<std::uint8_t>& out) const override;
-  void load_state(util::binio::ByteReader& r) override;
+  void walk_state(util::binio::Walker& w) override;
 
  private:
   double sigma_;
@@ -135,8 +136,7 @@ class PullHomeMobility final : public MobilityProcess {
   void step() override;
   const std::vector<geom::Point>& positions() const override { return pos_; }
   std::string name() const override { return "pull-home-ar1"; }
-  void save_state(std::vector<std::uint8_t>& out) const override;
-  void load_state(util::binio::ByteReader& r) override;
+  void walk_state(util::binio::Walker& w) override;
 
  private:
   std::vector<geom::Point> home_;

@@ -16,13 +16,13 @@
 // reproduces the historical saturated-CBR behavior byte for byte.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "rng/rng.h"
+#include "util/binio.h"
 
 namespace manetcap::net {
 
@@ -171,15 +171,11 @@ class OnOffGate {
   /// True when this gate actually gates (non-degenerate on/off means).
   bool active() const { return on_mean_ > 0.0 && off_mean_ > 0.0; }
 
-  // Checkpoint support: the evolving state only (sim/slotsim.cpp).
-  std::uint64_t until() const { return until_; }
-  bool is_on() const { return on_; }
-  std::array<std::uint64_t, 4> rng_state() const { return rng_.state(); }
-  void restore(std::uint64_t until, bool on,
-               const std::array<std::uint64_t, 4>& s) {
-    until_ = until;
-    on_ = on;
-    rng_.set_state(s);
+  /// Checkpoint support: walks the evolving state only (sim/slotsim.cpp).
+  void walk_state(util::binio::Walker& w) {
+    w.fixed(until_);
+    w.flag(on_);
+    w.rng(rng_);
   }
 
  private:

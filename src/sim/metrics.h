@@ -24,6 +24,8 @@
 #include <string>
 #include <vector>
 
+#include "util/binio.h"
+
 namespace manetcap::sim {
 
 enum class Counter : std::size_t {
@@ -126,10 +128,21 @@ class Metrics {
   }
   const std::vector<SlotSample>& series() const { return series_; }
 
-  /// Checkpoint restore: replaces the recorded series wholesale (the
-  /// stride and enabled flag are restored separately via enable_series).
-  void restore_series(std::vector<SlotSample> series) {
-    series_ = std::move(series);
+  /// Checkpoint support: walks the counters, then the recorded series
+  /// (the stride and enabled flag come from enable_series). Reading
+  /// replaces both and rejects more than `max_samples` samples.
+  void walk_state(util::binio::Walker& w, std::size_t max_samples) {
+    for (std::uint64_t& c : counters_) w.varint(c);
+    w.count(series_, 5, "series sample");
+    MANETCAP_CHECK_MSG(series_.size() <= max_samples,
+                       w.label() << ": series sample count out of range");
+    for (SlotSample& s : series_) {
+      w.u32(s.slot);
+      w.varint(s.queued);
+      w.u32(s.scheduled_pairs);
+      w.u32(s.active_cells);
+      w.u32(s.live_bs);
+    }
   }
 
   /// Adds `other`'s counters into this registry and appends its series —

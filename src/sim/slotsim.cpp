@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
 
 #include "analysis/stats.h"
@@ -1255,338 +1254,196 @@ class SlotSim {
     return util::binio::fnv1a(buf.data(), buf.size());
   }
 
-  /// Serializes the full simulator state as of the top of slot `t_next`
-  /// (i.e. end of slot t_next − 1) and atomically replaces
-  /// opt_.checkpoint_path (tmp + rename — a crash mid-write never corrupts
-  /// the previous checkpoint).
-  void save_checkpoint(std::size_t t_next,
-                       const mobility::MobilityProcess& process,
-                       std::uint64_t pair_count) const {
-    using util::binio::put_f64;
-    using util::binio::put_id_list;
-    using util::binio::put_u64_fixed;
-    using util::binio::put_varint;
-    std::vector<std::uint8_t> out;
-    out.reserve(64 + (n_ + k_) * 24);
-    for (int i = 0; i < 8; ++i)  // magic, byte-wise (see trace.cpp)
-      out.push_back(static_cast<std::uint8_t>(kCkptMagic[i]));
-    // Config echo — every knob that shapes the trajectory.
-    out.push_back(static_cast<std::uint8_t>(opt_.scheme));
-    out.push_back(static_cast<std::uint8_t>(opt_.mobility));
-    put_varint(out, n_);
-    put_varint(out, k_);
-    put_varint(out, opt_.slots);
-    put_varint(out, opt_.warmup);
-    put_varint(out, opt_.max_queue);
-    put_varint(out, opt_.source_backlog);
-    put_varint(out, opt_.seed);
-    put_f64(out, opt_.ct);
-    put_f64(out, opt_.delta);
-    // PHY backend + parameters: a checkpoint written under one
-    // interference model must not resume under another.
-    out.push_back(static_cast<std::uint8_t>(opt_.phy));
-    put_f64(out, opt_.sinr.path_loss);
-    put_f64(out, opt_.sinr.beta);
-    put_f64(out, opt_.sinr.snr_edge);
-    put_f64(out, opt_.sinr.power);
-    put_f64(out, opt_.sinr.field_radius);
-    put_f64(out, opt_.sinr.cca);
-    put_f64(out, k_ > 0 ? net_.params().c() : 0.0);
-    put_u64_fixed(out, dest_fingerprint());
-    put_u64_fixed(out, geometry_fingerprint());
-    put_u64_fixed(out, faults_fingerprint());
-    put_u64_fixed(out, traffic_fingerprint());
+  /// MCCKPT1 after the magic, once for both directions: the config echo
+  /// (every knob that shapes the trajectory, each with its mismatch
+  /// message), then the state as of the top of slot `t_next`. Reading
+  /// also rejects any restored id that would index out of bounds.
+  void walk_checkpoint(util::binio::Walker& w, std::size_t& t_next,
+                       mobility::MobilityProcess& process,
+                       std::uint64_t& pair_count) {
+    using W = util::binio::Walker;
+    w.echo(static_cast<std::uint8_t>(opt_.scheme), &W::u8,
+           "checkpoint: scheme mismatch");
+    w.echo(static_cast<std::uint8_t>(opt_.mobility), &W::u8,
+           "checkpoint: mobility model mismatch");
+    w.echo(n_, &W::varint, "checkpoint: n mismatch");
+    w.echo(k_, &W::varint, "checkpoint: k mismatch");
+    w.echo(opt_.slots, &W::varint, "checkpoint: slots mismatch");
+    w.echo(opt_.warmup, &W::varint, "checkpoint: warmup mismatch");
+    w.echo(opt_.max_queue, &W::varint, "checkpoint: max_queue mismatch");
+    w.echo(opt_.source_backlog, &W::varint,
+           "checkpoint: source_backlog mismatch");
+    w.echo(opt_.seed, &W::varint, "checkpoint: seed mismatch");
+    w.echo(opt_.ct, &W::f64, "checkpoint: ct mismatch");
+    w.echo(opt_.delta, &W::f64, "checkpoint: delta mismatch");
+    w.echo(static_cast<std::uint8_t>(opt_.phy), &W::u8,
+           "checkpoint: phy backend mismatch");
+    // The SINR parameters are always stored but bind only under a
+    // non-protocol backend: the protocol model ignores them, so they must
+    // not be able to block a resume.
+    for (const double v : {opt_.sinr.path_loss, opt_.sinr.beta,
+                           opt_.sinr.snr_edge, opt_.sinr.power,
+                           opt_.sinr.field_radius, opt_.sinr.cca})
+      w.echo(v, &W::f64, "checkpoint: SINR parameter mismatch",
+             opt_.phy != phy::PhyKind::kProtocol);
+    w.echo(k_ > 0 ? net_.params().c() : 0.0, &W::f64,
+           "checkpoint: wired capacity c(n) mismatch");
+    w.echo(dest_fingerprint(), &W::fixed,
+           "checkpoint: traffic pattern (dest) fingerprint mismatch");
+    w.echo(geometry_fingerprint(), &W::fixed,
+           "checkpoint: network geometry fingerprint mismatch");
+    w.echo(faults_fingerprint(), &W::fixed,
+           "checkpoint: fault plan fingerprint mismatch");
+    w.echo(traffic_fingerprint(), &W::fixed,
+           "checkpoint: traffic demand fingerprint mismatch");
+
     // Cursor + scalar state.
-    put_varint(out, t_next);
-    out.push_back(measuring_ ? 1 : 0);
+    w.varint(t_next);
+    MANETCAP_CHECK_MSG(t_next <= opt_.slots,
+                       "checkpoint: resume slot beyond the horizon");
+    w.flag(measuring_);
     // Legacy "S* hash built" flag: true from the first S* slot on, which
     // every checkpoint of an S* scheme follows (checkpoints land at t ≥ 1).
     // The cell list is rebuilt every slot, so nothing reads it back.
-    out.push_back(opt_.scheme != Scheme::kSchemeC ? 1 : 0);
-    put_varint(out, pair_count);
-    put_varint(out, in_network_);
-    put_varint(out, rr_);
-    put_varint(out, next_fault_);
-    put_varint(out, live_bs_);
-    put_varint(out, bs_alive_.size());
-    out.insert(out.end(), bs_alive_.begin(), bs_alive_.end());
+    std::uint8_t hash_built = opt_.scheme != Scheme::kSchemeC ? 1 : 0;
+    w.u8(hash_built);
+    w.varint(pair_count);
+    w.varint(in_network_);
+    w.varint(rr_);
+    w.varint(next_fault_);
+    MANETCAP_CHECK_MSG(
+        faults_ == nullptr || next_fault_ <= faults_->events.size(),
+        "checkpoint: fault cursor out of range");
+    w.varint(live_bs_);
+    w.echo(bs_alive_.size(), &W::varint,
+           "checkpoint: BS liveness table size mismatch");
+    for (std::uint8_t& b : bs_alive_) w.u8(b);
     // Churn + traffic-model state (empty/absent on the legacy path).
-    put_varint(out, ms_alive_.size());
-    out.insert(out.end(), ms_alive_.begin(), ms_alive_.end());
-    put_varint(out, live_ms_);
-    out.push_back(demands_ != nullptr ? 1 : 0);
+    w.echo(ms_alive_.size(), &W::varint,
+           "checkpoint: MS presence table size mismatch");
+    for (std::uint8_t& b : ms_alive_) w.u8(b);
+    w.varint(live_ms_);
+    MANETCAP_CHECK_MSG(live_ms_ <= n_,
+                       "checkpoint: live MS count out of range");
+    w.echo(demands_ != nullptr, &W::flag,
+           "checkpoint: traffic-model state presence mismatch");
     if (demands_ != nullptr) {
-      for (std::uint64_t cnt : inj_count_) put_varint(out, cnt);
-      out.push_back(has_onoff_ ? 1 : 0);
-      if (has_onoff_) {
-        for (const net::OnOffGate& gate : onoff_) {
-          put_u64_fixed(out, gate.until());
-          out.push_back(gate.is_on() ? 1 : 0);
-          for (std::uint64_t s : gate.rng_state()) put_u64_fixed(out, s);
-        }
-      }
+      for (std::uint64_t& cnt : inj_count_) w.varint(cnt);
+      w.echo(has_onoff_, &W::flag,
+             "checkpoint: on-off gate state presence mismatch");
+      if (has_onoff_)
+        for (net::OnOffGate& gate : onoff_) gate.walk_state(w);
     }
     // Positions (the S* cell list is rebuilt from these, not serialized).
-    for (const geom::Point& p : pos_all_) {
-      put_f64(out, p.x);
-      put_f64(out, p.y);
-    }
-    for (std::uint64_t d : delivered_) put_varint(out, d);
-    for (std::uint32_t w : count_own_) put_varint(out, w);
+    for (geom::Point& p : pos_all_) mobility::walk_position(w, p);
+    for (std::uint64_t& d : delivered_) w.varint(d);
+    for (std::uint32_t& c : count_own_) w.u32(c);
     // Queues: occupied prefixes only — a near-empty 10⁶-node run
     // checkpoints in kilobytes, not the slab size.
     for (std::uint32_t node = 0; node < n_ + k_; ++node) {
+      w.u32(q_size_[node]);
+      MANETCAP_CHECK_MSG(q_size_[node] <= q_cap(node),
+                         "checkpoint: queue size exceeds capacity at node "
+                             << node);
       const std::size_t base = q_base(node);
-      put_varint(out, q_size_[node]);
-      for (std::size_t j = 0; j < q_size_[node]; ++j) {
-        put_varint(out, q_flow_[base + j]);
-        put_varint(out, q_hop_[base + j]);
-        put_varint(out, q_born_[base + j]);
+      for (std::size_t j = base; j < base + q_size_[node]; ++j) {
+        w.u32(q_flow_[j]);
+        MANETCAP_CHECK_MSG(q_flow_[j] < n_,
+                           "checkpoint: queued flow id out of range at node "
+                               << node);
+        w.u32(q_hop_[j]);
+        w.u32(q_born_[j]);
       }
     }
     // Serving CSR — faults mutate it mid-run, so the ctor's version is not
     // authoritative.
-    put_id_list(out, serving_start_);
-    put_id_list(out, serving_ids_);
-    put_varint(out, serving_is_fallback_.size());
-    out.insert(out.end(), serving_is_fallback_.begin(),
-               serving_is_fallback_.end());
-    put_varint(out, rr_cell_.size());
-    for (std::size_t v : rr_cell_) put_varint(out, v);
-    put_varint(out, wire_credit_.size());
-    wire_credit_.for_each_sorted([&](std::uint64_t key, const WireState& w) {
-      put_u64_fixed(out, key);
-      put_f64(out, w.credit);
-      put_varint(out, w.last_topup);
-      put_f64(out, w.scale);
-    });
+    w.id_list(serving_start_);
+    w.id_list(serving_ids_);
+    check_serving_csr();
+    w.echo(serving_is_fallback_.size(), &W::varint,
+           "checkpoint: fallback table size mismatch");
+    for (std::uint8_t& b : serving_is_fallback_) w.u8(b);
+    w.echo(rr_cell_.size(), &W::varint,
+           "checkpoint: cell round-robin table size mismatch");
+    for (std::size_t& v : rr_cell_) w.varint(v);
+    wire_credit_.walk_state(w, static_cast<std::uint64_t>(k_) * k_);
     // Audit registry + series + delay log.
-    for (std::size_t c = 0; c < kNumCounters; ++c)
-      put_varint(out, audit_.count(static_cast<Counter>(c)));
-    put_varint(out, audit_.series().size());
-    for (const SlotSample& s : audit_.series()) {
-      put_varint(out, s.slot);
-      put_varint(out, s.queued);
-      put_varint(out, s.scheduled_pairs);
-      put_varint(out, s.active_cells);
-      put_varint(out, s.live_bs);
-    }
-    put_varint(out, delays_.size());
-    for (double d : delays_) put_f64(out, d);
+    audit_.walk_state(w, opt_.slots);
+    w.count(delays_, 8, "delay log");  // one f64 per delay
+    for (double& d : delays_) w.f64(d);
     // Mobility (RNG streams + evolving coordinates).
-    process.save_state(out);
+    process.walk_state(w);
     // In-flight trace, so a resumed traced run emits the identical file.
-    if (opt_.trace != nullptr) {
-      out.push_back(1);
-      encode_faults(out, opt_.trace->context.faults);
-      encode_events(out, opt_.trace->events);
-    } else {
-      out.push_back(0);
+    bool has_trace = opt_.trace != nullptr;
+    w.flag(has_trace);
+    MANETCAP_CHECK_MSG(!has_trace || opt_.trace != nullptr,
+                       "checkpoint: file carries trace state but no "
+                       "trace sink is attached to this run");
+    MANETCAP_CHECK_MSG(has_trace || opt_.trace == nullptr,
+                       "checkpoint: a trace sink is attached but the "
+                       "file carries no trace state");
+    if (has_trace) {
+      walk_faults(w, opt_.trace->context.faults);
+      walk_events(w, opt_.trace->events, 11);
     }
-    put_u64_fixed(out, util::binio::fnv1a(out.data(), out.size()));
+  }
 
+  /// The serving CSR indexes q_size_[n + id] and serving_ids_ by its
+  /// offsets: a restored table must be in range before any slot runs.
+  void check_serving_csr() const {
+    if (serving_start_.empty()) return;
+    MANETCAP_CHECK_MSG(serving_start_.size() == n_ + 1 &&
+                           serving_start_.back() == serving_ids_.size(),
+                       "checkpoint: serving CSR is inconsistent");
+    for (std::size_t i = 0; i < n_; ++i)
+      MANETCAP_CHECK_MSG(serving_start_[i] <= serving_start_[i + 1],
+                         "checkpoint: serving CSR offsets decrease at MS "
+                             << i);
+    for (const std::uint32_t b : serving_ids_)
+      MANETCAP_CHECK_MSG(b < k_, "checkpoint: serving BS id " << b
+                                     << " out of range");
+  }
+
+  /// Writes the state as of the top of slot `t_next` (i.e. end of slot
+  /// t_next − 1) and atomically replaces opt_.checkpoint_path (tmp +
+  /// rename — a crash mid-write never corrupts the previous checkpoint).
+  void save_checkpoint(std::size_t t_next, mobility::MobilityProcess& process,
+                       std::uint64_t pair_count) {
+    std::vector<std::uint8_t> out;
+    out.reserve(64 + (n_ + k_) * 24);
+    for (int i = 0; i < 8; ++i)
+      out.push_back(static_cast<std::uint8_t>(kCkptMagic[i]));
+    util::binio::Walker w(out);
+    walk_checkpoint(w, t_next, process, pair_count);
+    util::binio::seal(out);
     const std::string tmp = opt_.checkpoint_path + ".tmp";
-    {
-      std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
-      MANETCAP_CHECK_MSG(f.good(),
-                         "checkpoint: cannot open for write: " << tmp);
-      f.write(reinterpret_cast<const char*>(out.data()),
-              static_cast<std::streamsize>(out.size()));
-      f.flush();
-      MANETCAP_CHECK_MSG(f.good(), "checkpoint: write failed: " << tmp);
-    }
+    util::binio::write_file(tmp, out, "checkpoint");
     MANETCAP_CHECK_MSG(
         std::rename(tmp.c_str(), opt_.checkpoint_path.c_str()) == 0,
         "checkpoint: atomic rename failed: " << opt_.checkpoint_path);
   }
 
-  /// Restores state from opt_.resume_path. Validates the config echo and
-  /// fingerprints against this run's configuration, then loads everything
-  /// save_checkpoint wrote and rebuilds the derived structures (scheme-C
-  /// members/colors from the restored association; the S* cell list is
-  /// rebuilt every slot anyway). Returns the slot to resume at.
+  /// Restores state from opt_.resume_path, checking the config echo and
+  /// fingerprints against this run's configuration, then rebuilds the
+  /// derived structures (scheme-C members/colors from the restored
+  /// association; the S* cell list is rebuilt every slot anyway). Returns
+  /// the slot to resume at.
   std::size_t load_checkpoint(mobility::MobilityProcess& process,
                               std::uint64_t& pair_count) {
-    using util::binio::get_f64;
-    using util::binio::get_id_list;
-    std::ifstream in(opt_.resume_path, std::ios::binary | std::ios::ate);
-    MANETCAP_CHECK_MSG(in.good(),
-                       "checkpoint: cannot open for read: " << opt_.resume_path);
-    const std::streamsize fsize = in.tellg();
-    in.seekg(0);
-    std::vector<std::uint8_t> bytes(static_cast<std::size_t>(fsize));
-    in.read(reinterpret_cast<char*>(bytes.data()), fsize);
-    MANETCAP_CHECK_MSG(in.good(),
-                       "checkpoint: read failed: " << opt_.resume_path);
+    const std::vector<std::uint8_t> bytes =
+        util::binio::read_file(opt_.resume_path, "checkpoint");
     MANETCAP_CHECK_MSG(bytes.size() >= 16, "checkpoint: file too small");
     MANETCAP_CHECK_MSG(std::memcmp(bytes.data(), kCkptMagic, 8) == 0,
                        "checkpoint: bad magic (not an MCCKPT1 file)");
-    const std::size_t body = bytes.size() - 8;
-    MANETCAP_CHECK_MSG(util::binio::get_u64_fixed(bytes, body) ==
-                           util::binio::fnv1a(bytes.data(), body),
+    MANETCAP_CHECK_MSG(util::binio::sealed(bytes),
                        "checkpoint: checksum mismatch (truncated or "
                        "corrupted file)");
-    util::binio::ByteReader r{bytes, 8, body, "checkpoint"};
-
-    MANETCAP_CHECK_MSG(r.u8() == static_cast<std::uint8_t>(opt_.scheme),
-                       "checkpoint: scheme mismatch");
-    MANETCAP_CHECK_MSG(r.u8() == static_cast<std::uint8_t>(opt_.mobility),
-                       "checkpoint: mobility model mismatch");
-    MANETCAP_CHECK_MSG(r.varint() == n_, "checkpoint: n mismatch");
-    MANETCAP_CHECK_MSG(r.varint() == k_, "checkpoint: k mismatch");
-    MANETCAP_CHECK_MSG(r.varint() == opt_.slots, "checkpoint: slots mismatch");
-    MANETCAP_CHECK_MSG(r.varint() == opt_.warmup,
-                       "checkpoint: warmup mismatch");
-    MANETCAP_CHECK_MSG(r.varint() == opt_.max_queue,
-                       "checkpoint: max_queue mismatch");
-    MANETCAP_CHECK_MSG(r.varint() == opt_.source_backlog,
-                       "checkpoint: source_backlog mismatch");
-    MANETCAP_CHECK_MSG(r.varint() == opt_.seed, "checkpoint: seed mismatch");
-    MANETCAP_CHECK_MSG(get_f64(r) == opt_.ct, "checkpoint: ct mismatch");
-    MANETCAP_CHECK_MSG(get_f64(r) == opt_.delta,
-                       "checkpoint: delta mismatch");
-    MANETCAP_CHECK_MSG(r.u8() == static_cast<std::uint8_t>(opt_.phy),
-                       "checkpoint: phy backend mismatch");
-    // The six SINR parameters are always serialized (uniform layout) but
-    // only binding when a non-protocol backend is active — under the
-    // protocol model they are ignored by the run, so they must not be
-    // able to block a resume.
-    const double ck_sinr[6] = {get_f64(r), get_f64(r), get_f64(r),
-                               get_f64(r), get_f64(r), get_f64(r)};
-    if (opt_.phy != phy::PhyKind::kProtocol) {
-      const double now_sinr[6] = {opt_.sinr.path_loss,    opt_.sinr.beta,
-                                  opt_.sinr.snr_edge,     opt_.sinr.power,
-                                  opt_.sinr.field_radius, opt_.sinr.cca};
-      for (int i = 0; i < 6; ++i)
-        MANETCAP_CHECK_MSG(ck_sinr[i] == now_sinr[i],
-                           "checkpoint: SINR parameter mismatch");
-    }
-    MANETCAP_CHECK_MSG(get_f64(r) == (k_ > 0 ? net_.params().c() : 0.0),
-                       "checkpoint: wired capacity c(n) mismatch");
-    MANETCAP_CHECK_MSG(r.u64_fixed() == dest_fingerprint(),
-                       "checkpoint: traffic pattern (dest) fingerprint "
-                       "mismatch");
-    MANETCAP_CHECK_MSG(r.u64_fixed() == geometry_fingerprint(),
-                       "checkpoint: network geometry fingerprint mismatch");
-    MANETCAP_CHECK_MSG(r.u64_fixed() == faults_fingerprint(),
-                       "checkpoint: fault plan fingerprint mismatch");
-    MANETCAP_CHECK_MSG(r.u64_fixed() == traffic_fingerprint(),
-                       "checkpoint: traffic demand fingerprint mismatch");
-
-    const std::size_t t_next = r.varint();
-    MANETCAP_CHECK_MSG(t_next <= opt_.slots,
-                       "checkpoint: resume slot beyond the horizon");
-    measuring_ = r.u8() != 0;
-    r.u8();  // legacy "S* hash built" flag, see save_checkpoint
-    pair_count = r.varint();
-    in_network_ = r.varint();
-    rr_ = r.varint();
-    next_fault_ = r.varint();
-    MANETCAP_CHECK_MSG(
-        faults_ == nullptr || next_fault_ <= faults_->events.size(),
-        "checkpoint: fault cursor out of range");
-    live_bs_ = r.varint();
-    MANETCAP_CHECK_MSG(r.varint() == bs_alive_.size(),
-                       "checkpoint: BS liveness table size mismatch");
-    for (auto& b : bs_alive_) b = r.u8();
-    MANETCAP_CHECK_MSG(r.varint() == ms_alive_.size(),
-                       "checkpoint: MS presence table size mismatch");
-    for (auto& b : ms_alive_) b = r.u8();
-    live_ms_ = r.varint();
-    MANETCAP_CHECK_MSG(live_ms_ <= n_,
-                       "checkpoint: live MS count out of range");
-    MANETCAP_CHECK_MSG((r.u8() != 0) == (demands_ != nullptr),
-                       "checkpoint: traffic-model state presence mismatch");
-    if (demands_ != nullptr) {
-      for (auto& cnt : inj_count_) cnt = r.varint();
-      MANETCAP_CHECK_MSG((r.u8() != 0) == has_onoff_,
-                         "checkpoint: on-off gate state presence mismatch");
-      if (has_onoff_) {
-        for (net::OnOffGate& gate : onoff_) {
-          const std::uint64_t until = r.u64_fixed();
-          const bool on = r.u8() != 0;
-          std::array<std::uint64_t, 4> s{};
-          for (std::uint64_t& w : s) w = r.u64_fixed();
-          gate.restore(until, on, s);
-        }
-      }
-    }
-    for (geom::Point& p : pos_all_) {
-      p.x = get_f64(r);
-      p.y = get_f64(r);
-    }
-    for (auto& d : delivered_) d = r.varint();
-    for (auto& w : count_own_) w = r.u32v();
-    for (std::uint32_t node = 0; node < n_ + k_; ++node) {
-      const std::uint32_t qs = r.u32v();
-      MANETCAP_CHECK_MSG(qs <= q_cap(node),
-                         "checkpoint: queue size exceeds capacity at node "
-                             << node);
-      q_size_[node] = qs;
-      const std::size_t base = q_base(node);
-      for (std::size_t j = 0; j < qs; ++j) {
-        q_flow_[base + j] = r.u32v();
-        q_hop_[base + j] = r.u32v();
-        q_born_[base + j] = r.u32v();
-      }
-    }
-    serving_start_ = get_id_list(r);
-    serving_ids_ = get_id_list(r);
-    MANETCAP_CHECK_MSG(
-        serving_start_.empty() || (serving_start_.size() == n_ + 1 &&
-                                   serving_start_.back() ==
-                                       serving_ids_.size()),
-        "checkpoint: serving CSR is inconsistent");
-    MANETCAP_CHECK_MSG(r.varint() == serving_is_fallback_.size(),
-                       "checkpoint: fallback table size mismatch");
-    for (auto& b : serving_is_fallback_) b = r.u8();
-    MANETCAP_CHECK_MSG(r.varint() == rr_cell_.size(),
-                       "checkpoint: cell round-robin table size mismatch");
-    for (auto& v : rr_cell_) v = r.varint();
-    const std::uint64_t n_edges = r.varint();
-    MANETCAP_CHECK_MSG(n_edges <= static_cast<std::uint64_t>(k_) * k_,
-                       "checkpoint: wired edge count out of range");
-    for (std::uint64_t e = 0; e < n_edges; ++e) {
-      const std::uint64_t key = r.u64_fixed();
-      auto [wire, first_use] = wire_credit_.try_emplace(key);
-      MANETCAP_CHECK_MSG(first_use, "checkpoint: duplicate wired edge key");
-      wire->credit = get_f64(r);
-      wire->last_topup = r.varint();
-      wire->scale = get_f64(r);
-    }
-    for (std::size_t c = 0; c < kNumCounters; ++c)
-      audit_.add(static_cast<Counter>(c), r.varint());  // fresh registry: add == set
-    const std::uint64_t n_samples = r.count(5, "series sample");
-    MANETCAP_CHECK_MSG(n_samples <= opt_.slots,
-                       "checkpoint: series sample count out of range");
-    std::vector<SlotSample> samples(n_samples);
-    for (SlotSample& s : samples) {
-      s.slot = r.u32v();
-      s.queued = r.varint();
-      s.scheduled_pairs = r.u32v();
-      s.active_cells = r.u32v();
-      s.live_bs = r.u32v();
-    }
-    audit_.restore_series(std::move(samples));
-    delays_.resize(r.count(8, "delay log"));  // one f64 per delay
-    for (double& d : delays_) d = get_f64(r);
-    process.load_state(r);
-    const std::uint8_t has_trace = r.u8();
-    if (has_trace != 0) {
-      MANETCAP_CHECK_MSG(opt_.trace != nullptr,
-                         "checkpoint: file carries trace state but no "
-                         "trace sink is attached to this run");
-      opt_.trace->context.faults = decode_faults(r);
-      opt_.trace->events = decode_events(r, 11);
-    } else {
-      MANETCAP_CHECK_MSG(opt_.trace == nullptr,
-                         "checkpoint: a trace sink is attached but the "
-                         "file carries no trace state");
-    }
-    MANETCAP_CHECK_MSG(r.pos == r.end, "checkpoint: trailing bytes");
-
-    // Derived state. Scheme C re-derives members and colors from the
-    // restored association + liveness, exactly as rebuild_serving would.
+    util::binio::Walker w(bytes, 8, bytes.size() - 8, "checkpoint");
+    std::size_t t_next = 0;
+    walk_checkpoint(w, t_next, process, pair_count);
+    MANETCAP_CHECK_MSG(w.at_end(), "checkpoint: trailing bytes");
+    // Scheme C re-derives members and colors from the restored
+    // association + liveness, exactly as rebuild_serving would.
     if (opt_.scheme == Scheme::kSchemeC) rebuild_members_and_colors();
     return t_next;
   }

@@ -1,10 +1,8 @@
 #include "sim/trace.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 #include <deque>
-#include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
@@ -56,88 +54,71 @@ namespace {
 constexpr char kMagic[8] = {'M', 'C', 'T', 'R', 'A', 'C', 'E', '1'};
 constexpr char kMagic2[8] = {'M', 'C', 'T', 'R', 'A', 'C', 'E', '2'};
 
-// Codec lives in util/binio.h (shared with the checkpoint format); the
-// byte layout it produces is frozen by the golden traces.
-using util::binio::ByteReader;
-using util::binio::fnv1a;
-using util::binio::get_id_list;
-using util::binio::get_id_lists;
-using util::binio::get_u64_fixed;
-using util::binio::put_id_list;
-using util::binio::put_id_lists;
-using util::binio::put_u64_fixed;
-using util::binio::put_varint;
-using util::binio::unzigzag;
-using util::binio::zigzag;
+using util::binio::Walker;
+
+/// MCTRACE1/2 after the magic, once for both directions: the context, the
+/// fault timeline (MCTRACE2 only), the events and the footer.
+void walk_trace(Walker& w, Trace& t, bool v2) {
+  TraceContext& c = t.context;
+  w.u8_enum(c.scheme, 3, "invalid scheme id");
+  w.u8_enum(c.mobility, 3, "invalid mobility id");
+  w.u32(c.n);
+  w.u32(c.k);
+  w.u32(c.slots);
+  w.u32(c.warmup);
+  w.u32(c.max_queue);
+  w.u32(c.source_backlog);
+  w.varint(c.seed);
+  w.f64(c.wired_c);
+  w.id_list(c.dest);
+  w.id_list(c.home_cell);
+  w.id_lists(c.paths);
+  w.id_lists(c.serving);
+  if (v2) walk_faults(w, c.faults);
+  walk_events(w, t.events, v2 ? 11 : 4);
+  w.varint(t.footer.injected);
+  w.varint(t.footer.delivered);
+  w.varint(t.footer.dropped);
+}
 
 }  // namespace
 
-void encode_faults(std::vector<std::uint8_t>& out,
-                   const std::vector<TraceFault>& faults) {
-  put_varint(out, faults.size());
-  for (const TraceFault& f : faults) {
-    out.push_back(f.kind);
-    put_varint(out, f.slot);
-    put_id_list(out, f.bs);
-    put_u64_fixed(out, std::bit_cast<std::uint64_t>(f.scale));
-    put_id_list(out, f.rehomed_ms);
-    put_id_lists(out, f.rehomed_serving);
-  }
-}
-
-std::vector<TraceFault> decode_faults(util::binio::ByteReader& r) {
+void walk_faults(Walker& w, std::vector<TraceFault>& faults) {
   // A fault entry takes at least 13 bytes: kind, slot, two empty id
   // lists, the f64 scale and an empty id table.
-  std::vector<TraceFault> faults(r.count(13, "fault timeline"));
-  for (auto& f : faults) {
-    f.kind = r.u8();
-    MANETCAP_CHECK_MSG(f.kind <= TraceFault::kKindShift,
-                       r.label << ": invalid fault kind");
-    f.slot = r.u32v();
-    f.bs = get_id_list(r);
-    f.scale = util::binio::get_f64(r);
-    f.rehomed_ms = get_id_list(r);
-    f.rehomed_serving = get_id_lists(r);
-  }
-  return faults;
-}
-
-void encode_events(std::vector<std::uint8_t>& out,
-                   const std::vector<TraceEvent>& events) {
-  put_varint(out, events.size());
-  std::uint32_t prev_slot = 0;
-  for (const TraceEvent& e : events) {
-    out.push_back(static_cast<std::uint8_t>(e.kind));
-    put_varint(out, zigzag(static_cast<std::int64_t>(e.slot) -
-                           static_cast<std::int64_t>(prev_slot)));
-    prev_slot = e.slot;
-    put_varint(out, e.flow);
-    put_varint(out, e.hop);
-    put_varint(out, e.from);
-    put_varint(out, e.to);
+  w.count(faults, 13, "fault timeline");
+  for (TraceFault& f : faults) {
+    w.u8_enum(f.kind, TraceFault::kKindShift, "invalid fault kind");
+    w.u32(f.slot);
+    w.id_list(f.bs);
+    w.f64(f.scale);
+    w.id_list(f.rehomed_ms);
+    w.id_lists(f.rehomed_serving);
   }
 }
 
-std::vector<TraceEvent> decode_events(util::binio::ByteReader& r,
-                                      std::uint8_t max_kind) {
+void walk_events(Walker& w, std::vector<TraceEvent>& events,
+                 std::uint8_t max_kind) {
   // An event takes at least 6 bytes: its kind and five varints.
-  std::vector<TraceEvent> events(r.count(6, "event"));
+  w.count(events, 6, "event");
   std::int64_t prev_slot = 0;
-  for (auto& e : events) {
-    const std::uint8_t kind = r.u8();
-    MANETCAP_CHECK_MSG(kind <= max_kind, r.label << ": invalid event kind");
-    e.kind = static_cast<TraceEventKind>(kind);
-    const std::int64_t slot = prev_slot + unzigzag(r.varint());
-    MANETCAP_CHECK_MSG(slot >= 0 && slot <= 0xffffffffLL,
-                       r.label << ": event slot out of range");
-    e.slot = static_cast<std::uint32_t>(slot);
-    prev_slot = slot;
-    e.flow = r.u32v();
-    e.hop = r.u32v();
-    e.from = r.u32v();
-    e.to = r.u32v();
+  for (TraceEvent& e : events) {
+    w.u8_enum(e.kind, max_kind, "invalid event kind");
+    // The slot is stored as its ZigZag delta from the previous event's.
+    std::uint64_t delta = util::binio::zigzag(e.slot - prev_slot);
+    w.varint(delta);
+    if (w.reading()) {
+      const std::int64_t d = util::binio::unzigzag(delta);
+      MANETCAP_CHECK_MSG(d >= -prev_slot && d <= 0xffffffffLL - prev_slot,
+                         w.label() << ": event slot out of range");
+      e.slot = static_cast<std::uint32_t>(prev_slot + d);
+    }
+    prev_slot = e.slot;
+    w.u32(e.flow);
+    w.u32(e.hop);
+    w.u32(e.from);
+    w.u32(e.to);
   }
-  return events;
 }
 
 std::vector<std::uint8_t> Trace::encode() const {
@@ -147,27 +128,9 @@ std::vector<std::uint8_t> Trace::encode() const {
   const char* magic = v2 ? kMagic2 : kMagic;
   for (int i = 0; i < 8; ++i)
     out.push_back(static_cast<std::uint8_t>(magic[i]));
-  out.push_back(static_cast<std::uint8_t>(context.scheme));
-  out.push_back(static_cast<std::uint8_t>(context.mobility));
-  put_varint(out, context.n);
-  put_varint(out, context.k);
-  put_varint(out, context.slots);
-  put_varint(out, context.warmup);
-  put_varint(out, context.max_queue);
-  put_varint(out, context.source_backlog);
-  put_varint(out, context.seed);
-  put_u64_fixed(out, std::bit_cast<std::uint64_t>(context.wired_c));
-  put_id_list(out, context.dest);
-  put_id_list(out, context.home_cell);
-  put_id_lists(out, context.paths);
-  put_id_lists(out, context.serving);
-  if (v2) encode_faults(out, context.faults);
-
-  encode_events(out, events);
-  put_varint(out, footer.injected);
-  put_varint(out, footer.delivered);
-  put_varint(out, footer.dropped);
-  put_u64_fixed(out, fnv1a(out.data(), out.size()));
+  Walker w(out);
+  walk_trace(w, const_cast<Trace&>(*this), v2);  // writing only reads
+  util::binio::seal(out);
   return out;
 }
 
@@ -176,59 +139,21 @@ Trace Trace::decode(const std::vector<std::uint8_t>& bytes) {
   const bool v2 = std::memcmp(bytes.data(), kMagic2, 8) == 0;
   MANETCAP_CHECK_MSG(v2 || std::memcmp(bytes.data(), kMagic, 8) == 0,
                      "trace: bad magic (not an MCTRACE1/MCTRACE2 file)");
-  const std::size_t body = bytes.size() - 8;
-  MANETCAP_CHECK_MSG(get_u64_fixed(bytes, body) == fnv1a(bytes.data(), body),
+  MANETCAP_CHECK_MSG(util::binio::sealed(bytes),
                      "trace: checksum mismatch (corrupted trace)");
-
   Trace t;
-  ByteReader r{bytes, 8, body, "trace"};
-  const std::uint8_t scheme = r.u8();
-  MANETCAP_CHECK_MSG(scheme <= 3, "trace: invalid scheme id");
-  t.context.scheme = static_cast<Scheme>(scheme);
-  const std::uint8_t mobility = r.u8();
-  MANETCAP_CHECK_MSG(mobility <= 3, "trace: invalid mobility id");
-  t.context.mobility = static_cast<SlotMobility>(mobility);
-  t.context.n = r.u32v();
-  t.context.k = r.u32v();
-  t.context.slots = r.u32v();
-  t.context.warmup = r.u32v();
-  t.context.max_queue = r.u32v();
-  t.context.source_backlog = r.u32v();
-  t.context.seed = r.varint();
-  t.context.wired_c = std::bit_cast<double>(get_u64_fixed(bytes, r.pos));
-  r.pos += 8;
-  t.context.dest = get_id_list(r);
-  t.context.home_cell = get_id_list(r);
-  t.context.paths = get_id_lists(r);
-  t.context.serving = get_id_lists(r);
-  if (v2) t.context.faults = decode_faults(r);
-
-  t.events = decode_events(r, v2 ? 11 : 4);
-  t.footer.injected = r.varint();
-  t.footer.delivered = r.varint();
-  t.footer.dropped = r.varint();
-  MANETCAP_CHECK_MSG(r.pos == r.end, "trace: trailing bytes after footer");
+  Walker w(bytes, 8, bytes.size() - 8, "trace");
+  walk_trace(w, t, v2);
+  MANETCAP_CHECK_MSG(w.at_end(), "trace: trailing bytes after footer");
   return t;
 }
 
 void Trace::save(const std::string& path) const {
-  const auto bytes = encode();
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  MANETCAP_CHECK_MSG(out.good(), "trace: cannot open for write: " << path);
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  MANETCAP_CHECK_MSG(out.good(), "trace: write failed: " << path);
+  util::binio::write_file(path, encode(), "trace");
 }
 
 Trace Trace::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  MANETCAP_CHECK_MSG(in.good(), "trace: cannot open for read: " << path);
-  const std::streamsize size = in.tellg();
-  in.seekg(0);
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-  in.read(reinterpret_cast<char*>(bytes.data()), size);
-  MANETCAP_CHECK_MSG(in.good(), "trace: read failed: " << path);
-  return decode(bytes);
+  return decode(util::binio::read_file(path, "trace"));
 }
 
 // --- replay checker -------------------------------------------------------

@@ -174,21 +174,15 @@ class Trace {
   static Trace load(const std::string& path);
 };
 
-/// Reusable framing shared between the trace codec and the simulator
-/// checkpoint format (MCCKPT1): Trace::encode/decode are layered on these
-/// helpers, so a checkpoint embeds fault timelines and in-flight event
-/// streams in exactly the bytes the golden traces freeze. Each encoder
-/// writes a count followed by the per-entry fields; each decoder validates
-/// ranges and throws manetcap::CheckError on malformed input.
-void encode_faults(std::vector<std::uint8_t>& out,
-                   const std::vector<TraceFault>& faults);
-std::vector<TraceFault> decode_faults(util::binio::ByteReader& r);
-void encode_events(std::vector<std::uint8_t>& out,
-                   const std::vector<TraceEvent>& events);
-/// `max_kind` caps the accepted TraceEventKind (4 for MCTRACE1 bodies,
-/// 11 when fault/churn markers are legal).
-std::vector<TraceEvent> decode_events(util::binio::ByteReader& r,
-                                      std::uint8_t max_kind);
+/// The walks of the fault timeline and the event stream, which the
+/// simulator checkpoint (MCCKPT1) embeds in exactly the bytes the golden
+/// traces freeze: a count, then the per-entry fields. Reading validates
+/// kinds and slot ranges and throws manetcap::CheckError on malformed
+/// input. `max_kind` caps the accepted TraceEventKind (4 for MCTRACE1
+/// bodies, 11 when fault/churn markers are legal).
+void walk_faults(util::binio::Walker& w, std::vector<TraceFault>& faults);
+void walk_events(util::binio::Walker& w, std::vector<TraceEvent>& events,
+                 std::uint8_t max_kind);
 
 /// One violated invariant. `invariant` is a stable name from the list in
 /// docs/TRACE.md (e.g. "hop_monotone", "serving_bs", "wired_credit");

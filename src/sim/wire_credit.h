@@ -9,6 +9,9 @@
 #include <utility>
 #include <vector>
 
+#include "util/binio.h"
+#include "util/check.h"
+
 namespace manetcap::sim {
 
 /// Wired-edge token-bucket state, keyed by the unordered BS pair.
@@ -57,20 +60,43 @@ class WireCreditMap {
 
   std::size_t size() const { return count_; }
 
-  /// Checkpoint iteration: fn(key, state) in ascending key order. The
-  /// probe layout stays unobservable — a map restored from this order is
-  /// behaviorally identical regardless of the insertion history that
-  /// produced it.
-  template <class Fn>
-  void for_each_sorted(Fn&& fn) const {
-    std::vector<std::size_t> idx;
-    idx.reserve(count_);
-    for (std::size_t i = 0; i < keys_.size(); ++i)
-      if (keys_[i] != kEmpty) idx.push_back(i);
-    std::sort(idx.begin(), idx.end(), [this](std::size_t a, std::size_t b) {
-      return keys_[a] < keys_[b];
-    });
-    for (std::size_t i : idx) fn(keys_[i], vals_[i]);
+  /// Checkpoint support: a count, then (key, credit, last top-up, scale)
+  /// per edge in ascending key order. The probe layout stays unobservable
+  /// — a map restored from this order is behaviorally identical
+  /// regardless of the insertion history that produced it. Reading fills
+  /// an empty map and rejects more than `max_edges` edges.
+  void walk_state(util::binio::Walker& w, std::uint64_t max_edges) {
+    const auto walk_edge = [&w](std::uint64_t key, WireState s) {
+      w.fixed(key);
+      w.f64(s.credit);
+      w.varint(s.last_topup);
+      w.f64(s.scale);
+      return std::pair{key, s};
+    };
+    std::uint64_t edges = count_;
+    w.varint(edges);
+    MANETCAP_CHECK_MSG(edges <= max_edges,
+                       w.label() << ": wired edge count out of range");
+    if (!w.reading()) {
+      std::vector<std::size_t> idx;
+      idx.reserve(count_);
+      for (std::size_t i = 0; i < keys_.size(); ++i)
+        if (keys_[i] != kEmpty) idx.push_back(i);
+      std::sort(idx.begin(), idx.end(), [this](std::size_t a, std::size_t b) {
+        return keys_[a] < keys_[b];
+      });
+      for (std::size_t i : idx) walk_edge(keys_[i], vals_[i]);
+      return;
+    }
+    for (std::uint64_t e = 0; e < edges; ++e) {
+      const auto [key, state] = walk_edge(0, WireState{});
+      MANETCAP_CHECK_MSG(key != kEmpty,
+                         w.label() << ": invalid wired edge key");
+      auto [wire, first_use] = try_emplace(key);
+      MANETCAP_CHECK_MSG(first_use,
+                         w.label() << ": duplicate wired edge key");
+      *wire = state;
+    }
   }
 
   std::uint64_t memory_bytes() const {

@@ -10,6 +10,7 @@
 #include "net/params.h"
 #include "net/traffic.h"
 #include "rng/rng.h"
+#include "util/binio.h"
 #include "util/check.h"
 
 namespace manetcap::net {
@@ -453,8 +454,13 @@ TEST(OnOffGate, DutyCycleAndLazyAdvanceAgree) {
   // Restore round-trip: a snapshot reproduces the original's future.
   OnOffGate a(25.0, 75.0, 55);
   for (std::uint64_t t = 0; t < 1000; ++t) a.on_at(t);
+  std::vector<std::uint8_t> snapshot;
+  util::binio::Walker save(snapshot);
+  a.walk_state(save);
   OnOffGate b(25.0, 75.0, 55);
-  b.restore(a.until(), a.is_on(), a.rng_state());
+  util::binio::Walker load(snapshot, 0, snapshot.size(), "gate");
+  b.walk_state(load);
+  EXPECT_TRUE(load.at_end());
   OnOffGate c(25.0, 75.0, 55);
   for (std::uint64_t t = 0; t < 1000; ++t) c.on_at(t);
   for (std::uint64_t t = 1000; t < 5000; ++t)

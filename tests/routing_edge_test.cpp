@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
+#include "mobility/shape.h"
 #include "net/network.h"
 #include "net/traffic.h"
 #include "routing/scheme_a.h"
@@ -14,6 +16,14 @@
 #include "routing/two_hop.h"
 #include "rng/rng.h"
 #include "util/check.h"
+
+namespace manetcap::mobility {
+
+// Names the shape-parameterized cases "…/triangular" instead of the enum's
+// bytes. gtest finds it by argument-dependent lookup, hence the namespace.
+void PrintTo(ShapeKind kind, std::ostream* os) { *os << to_string(kind); }
+
+}  // namespace manetcap::mobility
 
 namespace manetcap::routing {
 namespace {

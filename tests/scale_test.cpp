@@ -5,10 +5,14 @@
 // validation surface (config echo, fingerprints, corruption).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/network.h"
@@ -17,7 +21,9 @@
 #include "sim/faults.h"
 #include "sim/metrics.h"
 #include "sim/slotsim.h"
+#include "sim/sweep.h"
 #include "sim/trace.h"
+#include "util/binio.h"
 #include "util/check.h"
 
 namespace manetcap::sim {
@@ -53,7 +59,8 @@ SimRun run_spec(const GoldenTraceSpec& spec, std::size_t shards,
              std::size_t checkpoint_every = 0,
              const std::string& checkpoint_path = "",
              const std::string& resume_path = "",
-             const FaultPlan* faults = nullptr) {
+             const FaultPlan* faults = nullptr,
+             SlotMobility mobility = SlotMobility::kIid) {
   const auto net =
       net::Network::build(spec.params, mobility::ShapeKind::kUniformDisk,
                           spec.placement, spec.net_seed);
@@ -71,14 +78,88 @@ SimRun run_spec(const GoldenTraceSpec& spec, std::size_t shards,
   opt.checkpoint_path = checkpoint_path;
   opt.resume_path = resume_path;
   opt.faults = faults;
+  opt.mobility = mobility;
   SimRun r;
   r.res = run_slot_sim(net, dest, opt);
   r.trace_bytes = trace.encode();
   return r;
 }
 
+/// ctest runs each test in its own process, in parallel: every file name
+/// carries the test's name so no two tests share one.
 std::string tmp_ckpt(const std::string& stem) {
-  return testing::TempDir() + "manetcap_" + stem + ".ckpt";
+  return testing::TempDir() + "manetcap_" +
+         testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+         stem + ".ckpt";
+}
+
+std::uint64_t file_fnv(const std::string& path) {
+  const auto bytes = util::binio::read_file(path, "test");
+  return util::binio::fnv1a(bytes.data(), bytes.size());
+}
+
+/// A checkpointed run: a golden spec under one mobility model, saved at
+/// slot `slots / 2`. Every golden scheme runs under iid mobility; scheme B
+/// also runs under the three other processes, so every mobility state
+/// layout is written and read back.
+struct ResumeCase {
+  GoldenTraceSpec spec;
+  SlotMobility mobility = SlotMobility::kIid;
+
+  std::string name() const {
+    static const char* const kMobility[] = {"iid", "walk", "pull_home",
+                                            "brownian"};
+    return spec.name + "_" + kMobility[static_cast<int>(mobility)];
+  }
+  SimRun run(std::size_t checkpoint_every, const std::string& checkpoint_path,
+             const std::string& resume_path = "") const {
+    return run_spec(spec, 1, checkpoint_every, checkpoint_path, resume_path,
+                    nullptr, mobility);
+  }
+};
+
+std::vector<ResumeCase> resume_cases() {
+  std::vector<ResumeCase> cases;
+  for (const auto& spec : golden_trace_specs()) cases.push_back({spec});
+  for (const SlotMobility m : {SlotMobility::kWalk, SlotMobility::kPullHome,
+                               SlotMobility::kBrownian})
+    cases.push_back({golden_trace_specs()[2], m});  // scheme_b
+  return cases;
+}
+
+/// Writes `path` the way Checkpoint.ResumeMidFaultPlanIsByteIdentical does.
+SimRun write_mid_fault_checkpoint(const std::string& path,
+                                  const FaultPlan& plan) {
+  return run_spec(golden_trace_specs()[2], 1, 400, path, "", &plan);
+}
+
+/// Writes `path` the way SlotSimChurn.CheckpointRoundTripsUnderTrafficAndChurn
+/// does: scheme B with an on-off traffic model and one MS leaving and
+/// rejoining; the file holds the state at slot 900.
+void write_traffic_churn_checkpoint(const std::string& path) {
+  net::ScalingParams p;
+  p.n = 128;
+  p.alpha = 0.35;
+  p.with_bs = true;
+  p.K = 0.75;
+  p.M = 1.0;
+  p.phi = 0.0;
+  const auto net = net::Network::build(p, mobility::ShapeKind::kUniformDisk,
+                                       net::BsPlacement::kClusteredMatched,
+                                       911);
+  const auto tspec = net::TrafficSpec::parse("hotspot:0.2,0.6; onoff:25,50");
+  const FaultPlan plan = FaultPlan::parse("leave@300:7; join@600:7");
+  SlotSimOptions opt;
+  opt.scheme = Scheme::kSchemeB;
+  opt.slots = 1000;
+  opt.warmup = 200;
+  opt.seed = 919;
+  opt.faults = &plan;
+  opt.checkpoint_every = 450;
+  opt.checkpoint_path = path;
+  rng::Xoshiro256 g(traffic_seed(opt.seed));
+  const auto demands = net::make_traffic_model(tspec)->draw(p.n, g);
+  run_slot_sim(net, demands, opt);
 }
 
 // ----------------------------------------------------- shard invariance --
@@ -112,17 +193,56 @@ TEST(ShardInvariance, StateBytesReported) {
 // A run checkpointed mid-horizon and resumed must complete byte-identical
 // to the uninterrupted run: same trace, same result bits.
 TEST(Checkpoint, ResumeIsByteIdentical) {
-  for (std::size_t i : {0UL, 2UL}) {  // scheme_a (ad hoc), scheme_b (infra)
-    const auto spec = golden_trace_specs()[i];
-    const std::string path = tmp_ckpt("roundtrip_" + spec.name);
+  for (const ResumeCase& c : resume_cases()) {
+    const std::string path = tmp_ckpt("roundtrip_" + c.name());
     // The checkpointing run IS the uninterrupted run — the save is a pure
     // side effect, so its trace doubles as the reference.
-    const SimRun full = run_spec(spec, 1, spec.slots / 2, path);
-    GoldenTraceSpec resumed_spec = spec;
-    const SimRun resumed = run_spec(resumed_spec, 1, 0, "", path);
-    EXPECT_EQ(full.trace_bytes, resumed.trace_bytes) << spec.name;
-    expect_identical(full.res, resumed.res, spec.name + " resumed");
+    const SimRun full = c.run(c.spec.slots / 2, path);
+    const SimRun resumed = c.run(0, "", path);
+    EXPECT_EQ(full.trace_bytes, resumed.trace_bytes) << c.name();
+    expect_identical(full.res, resumed.res, c.name() + " resumed");
     std::remove(path.c_str());
+  }
+}
+
+// The MCCKPT1 bytes themselves are pinned: each checkpoint the resume
+// tests write hashes (FNV-1a over the whole file) to the value recorded
+// when the format was last changed. Like the golden traces, these depend
+// on glibc's libm (docs/API.md).
+TEST(Checkpoint, FileBytesArePinned) {
+  const std::pair<const char*, std::uint64_t> kPinned[] = {
+      {"scheme_a_iid", 0x85b8e69e939d5152ULL},
+      {"two_hop_iid", 0x2e87d642e5968689ULL},
+      {"scheme_b_iid", 0x8c27cab766c37028ULL},
+      {"scheme_c_iid", 0xa0b5e47e4cd10e52ULL},
+      {"scheme_b_walk", 0x8856ea8a81f92382ULL},
+      {"scheme_b_pull_home", 0x3365b19ae9f8ba6fULL},
+      {"scheme_b_brownian", 0x9b5ffdbb07dbf0aeULL},
+      {"mid_fault_plan", 0x2cb4f368d04fd3b2ULL},
+      {"traffic_churn", 0xe3090502d3c95eacULL},
+  };
+  std::vector<std::pair<std::string, std::uint64_t>> got;
+  for (const ResumeCase& c : resume_cases()) {
+    const std::string path = tmp_ckpt("pinned_" + c.name());
+    c.run(c.spec.slots / 2, path);
+    got.emplace_back(c.name(), file_fnv(path));
+    std::remove(path.c_str());
+  }
+  const std::string fault_path = tmp_ckpt("pinned_faults");
+  const FaultPlan plan = FaultPlan::parse("down@100:0;up@500:0");
+  write_mid_fault_checkpoint(fault_path, plan);
+  got.emplace_back("mid_fault_plan", file_fnv(fault_path));
+  std::remove(fault_path.c_str());
+  const std::string churn_path = tmp_ckpt("pinned_churn");
+  write_traffic_churn_checkpoint(churn_path);
+  got.emplace_back("traffic_churn", file_fnv(churn_path));
+  std::remove(churn_path.c_str());
+
+  ASSERT_EQ(got.size(), std::size(kPinned));
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].first, kPinned[i].first);
+    EXPECT_EQ(got[i].second, kPinned[i].second)
+        << got[i].first << ": 0x" << std::hex << got[i].second;
   }
 }
 
@@ -146,7 +266,7 @@ TEST(Checkpoint, ResumeMidFaultPlanIsByteIdentical) {
   const FaultPlan plan = FaultPlan::parse("down@100:0;up@500:0");
   const std::string path = tmp_ckpt("faults");
   // Checkpoint at slot 400: after the outage, before the revival.
-  const SimRun full = run_spec(spec, 1, 400, path, "", &plan);
+  const SimRun full = write_mid_fault_checkpoint(path, plan);
   EXPECT_GT(full.res.dropped_bs_outage, 0u);
   const SimRun resumed = run_spec(spec, 1, 0, "", path, &plan);
   EXPECT_EQ(full.trace_bytes, resumed.trace_bytes);
@@ -186,6 +306,282 @@ TEST(Checkpoint, CorruptionIsRejected) {
   }
   EXPECT_THROW(run_spec(spec, 1, 0, "", path), manetcap::CheckError);
   std::remove(path.c_str());
+}
+
+/// Re-seals `bytes` after an edit: the FNV trailer is recomputed, so the
+/// checksum passes and only the edited field is wrong.
+void reseal(std::vector<std::uint8_t>& bytes) {
+  bytes.resize(bytes.size() - 8);
+  util::binio::seal(bytes);
+}
+
+/// Resumes `c` from `bytes` and expects a CheckError whose message names
+/// `needle`.
+void expect_resume_error(const ResumeCase& c,
+                         const std::vector<std::uint8_t>& bytes,
+                         const std::string& needle) {
+  const std::string path = tmp_ckpt("crafted");
+  util::binio::write_file(path, bytes, "test");
+  try {
+    c.run(0, "", path);
+    ADD_FAILURE() << "resume accepted a checkpoint with a bad " << needle;
+  } catch (const manetcap::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
+  std::remove(path.c_str());
+}
+
+/// The checkpoint `c` writes at slot `slots / 2`.
+std::vector<std::uint8_t> mid_run_checkpoint(const ResumeCase& c) {
+  const std::string path = tmp_ckpt("mid_run_" + c.name());
+  c.run(c.spec.slots / 2, path);
+  std::vector<std::uint8_t> bytes = util::binio::read_file(path, "test");
+  std::remove(path.c_str());
+  return bytes;
+}
+
+/// Byte offsets of the fields the crafted checkpoints edit, found by
+/// walking MCCKPT1's layout (`SlotSim::walk_checkpoint`) for a run
+/// without a traffic model.
+struct CkptLayout {
+  std::uint64_t k = 0;                // BSs, from the config echo
+  std::size_t first_queued_flow = 0;  // 0: no packet is queued
+  std::size_t serving_start = 0;      // the serving CSR's offset list
+  std::size_t serving_ids = 0;        // and its BS id list
+  std::size_t wire_edges = 0;         // the wired-credit ledger's count
+  std::size_t mobility = 0;           // the mobility process's block
+};
+
+CkptLayout walk_layout(const std::vector<std::uint8_t>& bytes) {
+  util::binio::Walker r(bytes, 8, bytes.size() - 8, "layout");
+  std::uint64_t n = 0;
+  CkptLayout at;
+  std::uint8_t b = 0;
+  std::uint64_t v = 0;
+  double d = 0.0;
+  std::vector<std::uint32_t> ids;
+  const auto skip = [&](int u8s, int varints, int f64s, int fixeds) {
+    for (int i = 0; i < u8s; ++i) r.u8(b);
+    for (int i = 0; i < varints; ++i) r.varint(v);
+    for (int i = 0; i < f64s; ++i) r.f64(d);
+    for (int i = 0; i < fixeds; ++i) r.fixed(v);
+  };
+  const auto skip_bytes_table = [&] {
+    r.varint(v);
+    for (std::uint64_t i = 0; i < v; ++i) r.u8(b);
+  };
+  skip(2, 0, 0, 0);  // scheme, mobility
+  r.varint(n);
+  r.varint(at.k);
+  skip(0, 5, 2, 0);  // slots … seed, ct, delta
+  skip(1, 0, 7, 4);  // phy, six SINR parameters, c(n), four fingerprints
+  skip(0, 1, 0, 0);  // resume slot
+  skip(2, 5, 0, 0);  // measuring, hash flag, pair count … live BSs
+  skip_bytes_table();  // BS liveness
+  skip_bytes_table();  // MS presence
+  skip(0, 1, 0, 0);  // live MSs
+  skip(1, 0, 0, 0);  // no traffic model
+  skip(0, 0, static_cast<int>(2 * (n + at.k)), 0);  // positions
+  skip(0, static_cast<int>(2 * n), 0, 0);  // delivered, own-flow windows
+  for (std::size_t node = 0; node < n + at.k; ++node) {
+    std::uint64_t queued = 0;
+    r.varint(queued);
+    for (std::uint64_t j = 0; j < queued; ++j) {
+      if (at.first_queued_flow == 0) at.first_queued_flow = r.pos();
+      skip(0, 3, 0, 0);  // flow, hop, born
+    }
+  }
+  at.serving_start = r.pos();
+  r.id_list(ids);
+  at.serving_ids = r.pos();
+  r.id_list(ids);
+  skip_bytes_table();  // fallback flags
+  r.varint(v);         // cell round-robin table
+  skip(0, static_cast<int>(v), 0, 0);
+  at.wire_edges = r.pos();
+  r.varint(v);  // wired edges: key, credit, last top-up, scale
+  for (std::uint64_t e = v; e > 0; --e) {
+    skip(0, 0, 0, 1);
+    skip(0, 0, 1, 0);
+    skip(0, 1, 1, 0);
+  }
+  skip(0, static_cast<int>(kNumCounters), 0, 0);
+  r.varint(v);  // series samples
+  skip(0, static_cast<int>(5 * v), 0, 0);
+  r.varint(v);  // delay log
+  skip(0, 0, static_cast<int>(v), 0);
+  at.mobility = r.pos();
+  return at;
+}
+
+/// Replaces the varint at `pos` with `value`, re-encoded.
+void splice_varint(std::vector<std::uint8_t>& bytes, std::size_t pos,
+                   std::uint64_t value) {
+  std::uint64_t old = 0;
+  util::binio::Walker r(bytes, pos, bytes.size(), "splice");
+  r.varint(old);
+  std::vector<std::uint8_t> enc;
+  util::binio::put_varint(enc, value);
+  bytes.erase(bytes.begin() + static_cast<std::ptrdiff_t>(pos),
+              bytes.begin() + static_cast<std::ptrdiff_t>(r.pos()));
+  bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(pos), enc.begin(),
+               enc.end());
+}
+
+/// Applies `edit` to the id list at `pos` and re-encodes it in place.
+template <class Edit>
+void edit_id_list(std::vector<std::uint8_t>& bytes, std::size_t pos,
+                  Edit edit) {
+  std::vector<std::uint32_t> ids;
+  util::binio::Walker r(bytes, pos, bytes.size(), "edit");
+  r.id_list(ids);
+  edit(ids);
+  std::vector<std::uint8_t> enc;
+  util::binio::Walker w(enc);
+  w.id_list(ids);
+  bytes.erase(bytes.begin() + static_cast<std::ptrdiff_t>(pos),
+              bytes.begin() + static_cast<std::ptrdiff_t>(r.pos()));
+  bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(pos), enc.begin(),
+               enc.end());
+}
+
+/// Overwrites the eight bytes at `pos` with `bits`, little-endian.
+void put_fixed_at(std::vector<std::uint8_t>& bytes, std::size_t pos,
+                  std::uint64_t bits) {
+  std::vector<std::uint8_t> enc;
+  util::binio::put_u64_fixed(enc, bits);
+  std::copy(enc.begin(), enc.end(),
+            bytes.begin() + static_cast<std::ptrdiff_t>(pos));
+}
+
+// A queued packet's flow id indexes dest_ and the per-flow tables: an id
+// ≥ n read past them (a heap overflow at n, a SEGV at 2³² − 16).
+TEST(Checkpoint, QueuedFlowIdOutOfRangeIsRejected) {
+  const ResumeCase c{golden_trace_specs()[2]};  // scheme_b, n = 256
+  const std::vector<std::uint8_t> bytes = mid_run_checkpoint(c);
+  const CkptLayout at = walk_layout(bytes);
+  ASSERT_GT(at.first_queued_flow, 0u);
+  for (const std::uint64_t flow :
+       {std::uint64_t{c.spec.params.n}, (std::uint64_t{1} << 32) - 16}) {
+    std::vector<std::uint8_t> crafted = bytes;
+    splice_varint(crafted, at.first_queued_flow, flow);
+    reseal(crafted);
+    expect_resume_error(c, crafted, "queued flow id out of range");
+  }
+}
+
+// wired_step indexes q_size_[n + id] with each serving BS id, and slices
+// serving_ids_ by consecutive offsets.
+TEST(Checkpoint, ServingCsrOutOfRangeIsRejected) {
+  const ResumeCase c{golden_trace_specs()[2]};  // scheme_b
+  const std::vector<std::uint8_t> bytes = mid_run_checkpoint(c);
+  const CkptLayout at = walk_layout(bytes);
+
+  std::vector<std::uint8_t> decreasing = bytes;
+  edit_id_list(decreasing, at.serving_start,
+               [&](std::vector<std::uint32_t>& start) {
+                 ASSERT_EQ(start.size(), c.spec.params.n + 1);
+                 start[1] = start[2] + 1;
+               });
+  reseal(decreasing);
+  expect_resume_error(c, decreasing, "serving CSR offsets decrease");
+
+  std::vector<std::uint8_t> foreign = bytes;
+  edit_id_list(foreign, at.serving_ids,
+               [&](std::vector<std::uint32_t>& ids) {
+                 ASSERT_FALSE(ids.empty());
+                 ids[0] = static_cast<std::uint32_t>(at.k);
+               });
+  reseal(foreign);
+  expect_resume_error(c, foreign, "serving BS id");
+}
+
+// The ledger is a hash map keyed by packed BS pairs: a key equal to its
+// empty marker, or a repeated key, would leave its edge count wrong.
+TEST(Checkpoint, WiredEdgeKeysAreChecked) {
+  const ResumeCase c{golden_trace_specs()[2]};  // scheme_b
+  const std::vector<std::uint8_t> bytes = mid_run_checkpoint(c);
+  const CkptLayout at = walk_layout(bytes);
+  util::binio::Walker r(bytes, at.wire_edges, bytes.size(), "ledger");
+  std::uint64_t edges = 0;
+  r.varint(edges);
+  ASSERT_GE(edges, 2u);
+  const std::size_t first_key = r.pos();
+  std::uint64_t key = 0;
+  r.fixed(key);
+
+  std::vector<std::uint8_t> empty_marker = bytes;
+  put_fixed_at(empty_marker, first_key, ~std::uint64_t{0});
+  reseal(empty_marker);
+  expect_resume_error(c, empty_marker, "invalid wired edge key");
+
+  // Find the second key: skip the first edge's credit, top-up and scale.
+  double d = 0.0;
+  std::uint64_t topup = 0;
+  r.f64(d);
+  r.varint(topup);
+  r.f64(d);
+  std::vector<std::uint8_t> repeated = bytes;
+  put_fixed_at(repeated, r.pos(), key);
+  reseal(repeated);
+  expect_resume_error(c, repeated, "duplicate wired edge key");
+}
+
+// A NaN position reached SpatialHash's float-to-int bucket cast (UBSan's
+// float-cast-overflow); positions must lie on the unit torus and
+// mobility offsets must be finite.
+TEST(Checkpoint, NonFiniteMobilityStateIsRejected) {
+  const ResumeCase iid{golden_trace_specs()[2]};  // scheme_b
+  const std::vector<std::uint8_t> bytes = mid_run_checkpoint(iid);
+  const CkptLayout at = walk_layout(bytes);
+  // The iid block: four RNG words, the position count, the positions.
+  util::binio::Walker r(bytes, at.mobility + 32, bytes.size(), "mobility");
+  std::uint64_t count = 0;
+  r.varint(count);
+  ASSERT_EQ(count, iid.spec.params.n);
+  for (const double x : {std::nan(""), 1.0, -0.25}) {
+    std::vector<std::uint8_t> crafted = bytes;
+    put_fixed_at(crafted, r.pos(), std::bit_cast<std::uint64_t>(x));
+    reseal(crafted);
+    expect_resume_error(iid, crafted, "position outside the unit torus");
+  }
+
+  const ResumeCase walk{golden_trace_specs()[2], SlotMobility::kWalk};
+  const std::vector<std::uint8_t> walk_bytes = mid_run_checkpoint(walk);
+  const CkptLayout walk_at = walk_layout(walk_bytes);
+  // The walk block: four RNG words, the offset count, the offsets.
+  util::binio::Walker wr(walk_bytes, walk_at.mobility + 32, walk_bytes.size(),
+                         "mobility");
+  wr.varint(count);
+  for (const double x : {std::nan(""), HUGE_VAL}) {
+    std::vector<std::uint8_t> crafted = walk_bytes;
+    // The first offset's y.
+    put_fixed_at(crafted, wr.pos() + 8, std::bit_cast<std::uint64_t>(x));
+    reseal(crafted);
+    expect_resume_error(walk, crafted, "non-finite mobility offset");
+  }
+}
+
+// Every truncation of a golden scheme's checkpoint, re-sealed so the
+// checksum passes, is a named error: never a crash, a hang or bad_alloc.
+TEST(Checkpoint, ResealedTruncationIsRejected) {
+  for (const auto& spec : golden_trace_specs()) {
+    const ResumeCase c{spec};
+    const std::vector<std::uint8_t> bytes = mid_run_checkpoint(c);
+    const std::size_t body = bytes.size() - 8;
+    for (std::size_t i = 0; i < 64; ++i) {
+      std::vector<std::uint8_t> prefix(
+          bytes.begin(),
+          bytes.begin() + static_cast<std::ptrdiff_t>(body * i / 64));
+      util::binio::seal(prefix);
+      const std::string path = tmp_ckpt("truncated");
+      util::binio::write_file(path, prefix, "test");
+      EXPECT_THROW(c.run(0, "", path), manetcap::CheckError)
+          << spec.name << " cut at " << body * i / 64 << " of " << body;
+      std::remove(path.c_str());
+    }
+  }
 }
 
 TEST(Checkpoint, MissingFileIsRejected) {

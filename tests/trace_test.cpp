@@ -67,6 +67,28 @@ TEST(TraceCodec, TruncationIsRejected) {
   EXPECT_THROW(Trace::decode({}), manetcap::CheckError);
 }
 
+// Every truncation re-sealed so the checksum passes — all strict
+// prefixes of two_hop's body, 64 evenly spaced ones of each other golden —
+// is a named error: never a crash, a hang or bad_alloc.
+TEST(TraceCodec, ResealedTruncationIsRejected) {
+  for (const auto& spec : golden_trace_specs()) {
+    const std::string path =
+        std::string(MANETCAP_GOLDEN_DIR) + "/" + spec.name + ".trace";
+    const std::vector<std::uint8_t> bytes =
+        util::binio::read_file(path, "golden");
+    const std::size_t body = bytes.size() - 8;
+    const std::size_t cuts = spec.name == "two_hop" ? body : 64;
+    for (std::size_t i = 0; i < cuts; ++i) {
+      const std::size_t len = body * i / cuts;
+      std::vector<std::uint8_t> prefix(
+          bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(len));
+      util::binio::seal(prefix);
+      EXPECT_THROW(Trace::decode(prefix), manetcap::CheckError)
+          << spec.name << " cut at " << len << " of " << body;
+    }
+  }
+}
+
 TEST(TraceCodec, BadMagicIsRejected) {
   auto bytes = capture_trace(spec_by_name("two_hop")).encode();
   bytes[0] = 'X';
