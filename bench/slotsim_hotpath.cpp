@@ -14,8 +14,9 @@
 //   --scheme A|B|C|twohop  routing scheme            (default B)
 //   --n N                  mobile-station count      (default 2000)
 //   --slots S              simulated slots           (default 4000)
-//   --smoke                pinned small case: scheme B, n=2000, 800 slots
-//   --check                gate against the baseline; exit 1 on regression
+//   --smoke                pinned small case: n=2000, 800 slots
+//   --check                gate against the baseline row of this case and
+//                          scheme; exit 1 on regression
 //   --baseline PATH        baseline CSV
 //                          (default bench/slotsim_hotpath_baseline.csv)
 #include <cmath>
@@ -59,9 +60,10 @@ bool identical(const sim::SlotSimResult& a, const sim::SlotSimResult& b) {
          a.queued_end == b.queued_end && a.dropped == b.dropped;
 }
 
-/// Reads the baseline speedup for `case_name` from a CSV with columns
-/// case,scheme,n,slots,speedup. Returns 0 when the case is absent.
-double baseline_speedup(const std::string& path, const std::string& case_name) {
+/// Reads the baseline speedup for (`case_name`, `scheme`) from a CSV with
+/// columns case,scheme,n,slots,speedup. Returns 0 when the row is absent.
+double baseline_speedup(const std::string& path, const std::string& case_name,
+                        const std::string& scheme) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("cannot open baseline: " + path);
   std::string line;
@@ -71,7 +73,7 @@ double baseline_speedup(const std::string& path, const std::string& case_name) {
     std::string field;
     std::vector<std::string> fields;
     while (std::getline(row, field, ',')) fields.push_back(field);
-    if (fields.size() >= 5 && fields[0] == case_name)
+    if (fields.size() >= 5 && fields[0] == case_name && fields[1] == scheme)
       return std::stod(fields[4]);
   }
   return 0.0;
@@ -153,10 +155,11 @@ int main(int argc, char** argv) {
   if (flags.get_bool("check", false)) {
     const std::string path = flags.get_string(
         "baseline", "bench/slotsim_hotpath_baseline.csv");
-    const double want = baseline_speedup(path, case_name);
+    const std::string scheme = to_string(opt.scheme);
+    const double want = baseline_speedup(path, case_name, scheme);
     if (want <= 0.0) {
       std::cerr << "\nERROR: no baseline row for case '" << case_name
-                << "' in " << path << "\n";
+                << "', " << scheme << " in " << path << "\n";
       return 1;
     }
     const double floor = 0.75 * want;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <unordered_map>
 
 #include "analysis/stats.h"
 #include "routing/rate_structure.h"
@@ -160,10 +159,9 @@ FlowSimResult run_flow_sim_impl(const net::Network& net,
   // with every other flow mapped to it. This is deliberately more
   // restrictive than the evaluator's spread/Valiant aggregate: it is where
   // the flow engine models per-edge contention the closed form averages
-  // away.
+  // away. flow_edge holds the ledger's dense edge ids (first-use order).
   constexpr std::uint32_t kNoEdge = ~std::uint32_t{0};
   std::vector<std::uint32_t> flow_edge;
-  std::vector<std::uint64_t> edge_keys;
   WireCreditMap credit;
   if (uses_bs(opt.scheme)) {
     const ServingTables st =
@@ -171,20 +169,12 @@ FlowSimResult run_flow_sim_impl(const net::Network& net,
             ? build_scheme_b_serving(net, opt.ct, opt.delta)
             : build_scheme_c_association(net);
     flow_edge.assign(n, kNoEdge);
-    std::unordered_map<std::uint64_t, std::uint32_t> edge_idx;
     for (std::uint32_t s = 0; s < n; ++s) {
       if (rs.flow_served[s] == 0) continue;
       const std::uint32_t a = st.serving_ids[st.serving_start[s]];
       const std::uint32_t b = st.serving_ids[st.serving_start[dest[s]]];
       if (a == b) continue;  // intra-BS: never touches a wire
-      const std::uint64_t key = wire_edge_key(a, b);
-      auto [it, fresh] = edge_idx.try_emplace(
-          key, static_cast<std::uint32_t>(edge_keys.size()));
-      if (fresh) {
-        edge_keys.push_back(key);
-        credit.try_emplace(key);
-      }
-      flow_edge[s] = it->second;
+      flow_edge[s] = credit.try_emplace(wire_edge_key(a, b)).first;
     }
   }
   const double wired_c = net.num_bs() > 0 ? net.params().c() : 0.0;
@@ -215,8 +205,8 @@ FlowSimResult run_flow_sim_impl(const net::Network& net,
   std::vector<double> deliver_cum(n, 0.0);
   std::vector<double> drop_cum(n, 0.0);  // churn-flushed backlog per flow
   std::vector<double> deliver_at_warmup(n, 0.0);
-  std::vector<double> edge_demand(edge_keys.size(), 0.0);
-  std::vector<double> edge_grant(edge_keys.size(), 1.0);
+  std::vector<double> edge_demand(credit.size(), 0.0);
+  std::vector<double> edge_grant(credit.size(), 1.0);
   std::uint64_t prev_inj = 0, prev_del = 0, prev_wired = 0, prev_drop = 0;
   std::size_t next_churn = 0;
   std::size_t t0 = 0;
@@ -250,7 +240,7 @@ FlowSimResult run_flow_sim_impl(const net::Network& net,
     // grant min(1, bucket/demand) uniformly to the flows on the edge. The
     // bucket is SlotSim's exact token bucket (accrual c·scale per slot,
     // depth max(1, 4c)).
-    if (!edge_keys.empty()) {
+    if (credit.size() != 0) {
       std::fill(edge_demand.begin(), edge_demand.end(), 0.0);
       for (std::uint32_t f = 0; f < n; ++f) {
         if (flow_edge[f] == kNoEdge) continue;
@@ -260,17 +250,17 @@ FlowSimResult run_flow_sim_impl(const net::Network& net,
         const double window = std::max(0.0, static_cast<double>(t1) - start);
         edge_demand[flow_edge[f]] += rate[f] * duty_of(f) * window;
       }
-      for (std::size_t e = 0; e < edge_keys.size(); ++e) {
-        WireState* w = credit.try_emplace(edge_keys[e]).first;
-        w->credit = std::min(w->credit + wired_c * w->scale * dt,
-                             std::max(1.0, 4.0 * wired_c));
+      for (std::uint32_t e = 0; e < credit.size(); ++e) {
+        WireState& w = credit.at(e);
+        w.credit = std::min(w.credit + wired_c * w.scale * dt,
+                            wire_bucket_depth(wired_c));
         if (edge_demand[e] <= 0.0) {
           edge_grant[e] = 1.0;
           continue;
         }
-        const double g = std::min(1.0, w->credit / edge_demand[e]);
+        const double g = std::min(1.0, w.credit / edge_demand[e]);
         edge_grant[e] = g;
-        w->credit -= g * edge_demand[e];
+        w.credit -= g * edge_demand[e];
         if (g < 1.0) audit.inc(Counter::kWiredCreditStall);
       }
     }
@@ -350,7 +340,7 @@ FlowSimResult run_flow_sim_impl(const net::Network& net,
                     vec_bytes(deliver_cum) + vec_bytes(drop_cum) +
                     vec_bytes(deliver_at_warmup) +
                     vec_bytes(measured) + vec_bytes(flow_edge) +
-                    vec_bytes(edge_keys) + vec_bytes(edge_demand) +
+                    vec_bytes(edge_demand) +
                     vec_bytes(edge_grant) + vec_bytes(rs.constraints) +
                     vec_bytes(rs.flow_start) + vec_bytes(rs.incid_cid) +
                     vec_bytes(rs.incid_coeff) + vec_bytes(rs.flow_hops) +

@@ -216,6 +216,7 @@ class SlotSim {
     if (opt_.scheme == Scheme::kSchemeA) init_scheme_a();
     if (opt_.scheme == Scheme::kSchemeB) init_scheme_b();
     if (opt_.scheme == Scheme::kSchemeC) init_scheme_c();
+    if (uses_bs(opt_.scheme)) settle_.resize(k_);
     // CSR offsets are uint32; at extreme n × path-length products the
     // flattened tables could outgrow them — fail at run start, not mid-run.
     MANETCAP_CHECK_MSG(path_cells_.size() <= 0xffffffffULL,
@@ -367,7 +368,9 @@ class SlotSim {
         vec_bytes(rr_cell_) + vec_bytes(bs_alive_) +
         vec_bytes(ms_alive_) + vec_bytes(inj_count_) + vec_bytes(ws.lone) +
         vec_bytes(ws.pairs) + hash.memory_bytes() +
-        wire_credit_.memory_bytes();
+        wire_credit_.memory_bytes() + vec_bytes(settle_) +
+        vec_bytes(stalled_);
+    for (const Settle& s : settle_) res.state_bytes += vec_bytes(s.held);
 
     std::uint64_t queued = 0;
     for (std::uint32_t q : q_size_) queued += q;
@@ -530,10 +533,13 @@ class SlotSim {
   void apply_faults(std::size_t t,
                     std::unique_ptr<mobility::MobilityProcess>& process) {
     const auto& ev = faults_->events;
+    const std::size_t first = next_fault_;
     while (next_fault_ < ev.size() && ev[next_fault_].slot <= t) {
       apply_fault(ev[next_fault_], process);
       ++next_fault_;
     }
+    // Serving sets, queues, liveness and edge scales may all have moved.
+    if (next_fault_ != first) settle_ = std::vector<Settle>(settle_.size());
   }
 
   void apply_fault(const FaultEvent& e,
@@ -741,18 +747,12 @@ class SlotSim {
   void apply_wire_scale(const FaultEvent& e) {
     const std::uint32_t a = std::min(e.bs, e.bs2);
     const std::uint32_t b = std::max(e.bs, e.bs2);
-    const std::uint64_t key = (static_cast<std::uint64_t>(a) << 32) | b;
-    auto [wire, first_use] = wire_credit_.try_emplace(key);
-    if (first_use) wire->last_topup = slot_;
-    const double c = net_.params().c();
-    if (wire->last_topup < slot_) {
-      wire->credit += (c * wire->scale) *
-                      static_cast<double>(slot_ - wire->last_topup);
-      wire->credit = std::min(wire->credit, std::max(1.0, 4.0 * c));
-    }
-    wire->last_topup = slot_;
-    wire->scale = e.scale;
-    if (e.scale == 0.0) wire->credit = 0.0;
+    const auto [id, first_use] = wire_credit_.try_emplace(wire_edge_key(a, b));
+    WireState& wire = wire_credit_.at(id);
+    if (first_use) wire.last_topup = slot_;
+    wire.top_up(net_.params().c(), slot_);
+    wire.scale = e.scale;
+    if (e.scale == 0.0) wire.credit = 0.0;
     TraceFault* tf = open_trace_fault(TraceFault::kKindWireScale);
     if (tf != nullptr) {
       tf->bs = {node_of_bs(a), node_of_bs(b)};
@@ -978,6 +978,7 @@ class SlotSim {
       return;
     }
     push_packet(node, flow, 0, slot_);
+    if (!settle_.empty()) settle_[node - n_].arrived = true;
     ++count_own_[flow];
     ++in_network_;
     if (demands_ != nullptr) ++inj_count_[flow];
@@ -1105,33 +1106,82 @@ class SlotSim {
   // Wired phase: every edge accrues c(n) units of credit per slot (lazily,
   // from the slot of its last use); a BS forwards each uplink packet
   // (hop 0) to a BS serving the destination once the edge holds a full
-  // unit of credit.
+  // unit of credit. Under a backbone bottleneck nearly every hop-0 packet
+  // stalls slot after slot, so a settled BS (Settle) whose held edges all
+  // still lack a full unit, and which no hop-0 packet reached since its
+  // last scan, skips the scan: it could only stall every packet again,
+  // which moves nothing but rr_ and the stall count. Its held edges are
+  // topped up either way, so every edge's state is what the scan leaves.
   void wired_step(std::size_t slot) {
     const double c = net_.params().c();
     for (std::uint32_t l = 0; l < k_; ++l) {
       if (!bs_is_live(l)) continue;  // a dead BS's queue was dropped
-      const std::uint32_t node = static_cast<std::uint32_t>(n_) + l;
-      const std::size_t base = q_base(node);
-      // Single compaction pass: read cursor `r` visits every packet in the
-      // original order (so the rr_ round-robin and credit decisions are
-      // made in exactly the sequence the old erase-in-place loop made
-      // them), write cursor `w` keeps the survivors.
-      const std::size_t qs = q_size_[node];
-      std::size_t w = 0;
-      for (std::size_t r = 0; r < qs; ++r) {
-        const auto keep = [&] {
-          if (w != r) {
-            q_flow_[base + w] = q_flow_[base + r];
-            q_hop_[base + w] = q_hop_[base + r];
-            q_born_[base + w] = q_born_[base + r];
-          }
-          ++w;
-        };
-        if (q_hop_[base + r] != 0) {
-          keep();
-          continue;
+      const Settle& s = settle_[l];
+      if (s.settled && !s.arrived && held_all_stall(s.held, c, slot)) {
+        rr_ += s.held.size();
+        audit_.add(Counter::kWiredCreditStall, s.held.size());
+        continue;
+      }
+      scan_wired_queue(l, c, slot);
+    }
+  }
+
+  /// Tops up `held` through the end of `slot`; true when every edge still
+  /// fails the scan's forwarding test (less than one unit of credit).
+  bool held_all_stall(const std::vector<std::uint32_t>& held, double c,
+                      std::size_t slot) {
+    for (const std::uint32_t id : held) {
+      WireState& wire = wire_credit_.at(id);
+      wire.top_up(c, slot + 1);
+      if (!(wire.credit < 1.0)) return false;
+    }
+    return true;
+  }
+
+  /// Scans BS `l`'s queue: each hop-0 packet is forwarded, stalls on
+  /// credit or is rejected by a full target queue. A settled BS's held
+  /// packets come first among its hop-0 packets and reuse their edge ids;
+  /// only newer ones look up the destination's serving set and probe the
+  /// ledger. The BS settles when every hop-0 packet left is a one-serving
+  /// stall.
+  void scan_wired_queue(std::uint32_t l, double c, std::size_t slot) {
+    const std::uint32_t node = static_cast<std::uint32_t>(n_) + l;
+    const std::size_t base = q_base(node);
+    Settle& s = settle_[l];
+    const std::size_t held = s.settled ? s.held.size() : 0;
+    std::size_t next_held = 0;
+    bool settles = true;
+    stalled_.clear();
+    // Single compaction pass: read cursor `r` visits every packet in the
+    // original order (so the rr_ round-robin and credit decisions are
+    // made in exactly the sequence the old erase-in-place loop made
+    // them), write cursor `w` keeps the survivors.
+    const std::size_t qs = q_size_[node];
+    std::size_t w = 0;
+    for (std::size_t r = 0; r < qs; ++r) {
+      const auto keep = [&] {
+        if (w != r) {
+          q_flow_[base + w] = q_flow_[base + r];
+          q_hop_[base + w] = q_hop_[base + r];
+          q_born_[base + w] = q_born_[base + r];
         }
-        const std::uint32_t flow = q_flow_[base + r];
+        ++w;
+      };
+      if (q_hop_[base + r] != 0) {
+        keep();
+        continue;
+      }
+      const std::uint32_t flow = q_flow_[base + r];
+      std::uint32_t id = 0;
+      std::uint32_t target = 0;
+      if (next_held < held) {
+        // One serving BS: the round-robin pick is fixed, rr_ only counts.
+        id = s.held[next_held++];
+        const std::uint64_t key = wire_credit_.key(id);
+        const auto lo = static_cast<std::uint32_t>(key >> 32);
+        target = lo == l ? static_cast<std::uint32_t>(key) : lo;
+        ++rr_;
+      } else {
         const std::uint32_t d = dest_[flow];
         const std::uint32_t sb = serving_start_[d], se = serving_start_[d + 1];
         if (se == sb) {
@@ -1139,11 +1189,13 @@ class SlotSim {
           // MS; counted defensively so a future association change that
           // reintroduces orphans fails the audit instead of stalling.
           audit_.inc(Counter::kUndeliverable);
+          settles = false;
           keep();
           continue;
         }
         // Round-robin over the destination's serving BSs.
-        const std::uint32_t target = serving_ids_[sb + rr_++ % (se - sb)];
+        settles = settles && se - sb == 1;
+        target = serving_ids_[sb + rr_++ % (se - sb)];
         if (target == l) {
           q_hop_[base + r] = 1;  // already at a serving BS
           if (opt_.trace != nullptr)
@@ -1153,45 +1205,41 @@ class SlotSim {
           keep();
           continue;
         }
-        const std::uint64_t key =
-            (static_cast<std::uint64_t>(std::min(l, target)) << 32) |
-            std::max(l, target);
-        auto [wire, first_use] = wire_credit_.try_emplace(key);
+        const auto probe = wire_credit_.try_emplace(wire_edge_key(l, target));
+        id = probe.first;
         // A fresh edge starts accruing at its first-use slot — crediting
         // retroactively from slot 0 would let low-c(n) edges burst a full
         // bucket at first touch and inflate early infra throughput.
-        if (first_use) wire->last_topup = slot;
-        if (wire->last_topup < slot + 1) {
-          // scale is exactly 1.0 outside a fault plan, so c·scale·Δ is
-          // bit-identical to the historical c·Δ accrual.
-          wire->credit += (c * wire->scale) *
-                          static_cast<double>(slot + 1 - wire->last_topup);
-          // Token bucket with depth scaled to the wire rate (4 slots of
-          // credit, but never below one packet so low-c edges still
-          // transmit): an idle edge cannot burst arbitrarily later.
-          wire->credit = std::min(wire->credit, std::max(1.0, 4.0 * c));
-          wire->last_topup = slot + 1;
-        }
-        if (wire->credit < 1.0) {
-          audit_.inc(Counter::kWiredCreditStall);
-          keep();
-        } else if (q_size_[n_ + target] >= bs_cap_) {
-          audit_.inc(Counter::kWiredRejectQueueFull);
-          keep();
-        } else {
-          wire->credit -= 1.0;
-          push_packet(static_cast<std::uint32_t>(n_) + target, flow, 1,
-                      q_born_[base + r]);
-          audit_.inc(Counter::kWiredForwarded);
-          if (opt_.trace != nullptr)
-            opt_.trace->record(TraceEventKind::kWiredForward,
-                               static_cast<std::uint32_t>(slot), flow, 1,
-                               node,
-                               static_cast<std::uint32_t>(n_ + target));
-        }
+        if (probe.second) wire_credit_.at(id).last_topup = slot;
       }
-      q_size_[node] = w;
+      WireState& wire = wire_credit_.at(id);
+      wire.top_up(c, slot + 1);
+      if (wire.credit < 1.0) {
+        audit_.inc(Counter::kWiredCreditStall);
+        stalled_.push_back(id);
+        keep();
+      } else if (q_size_[n_ + target] >= bs_cap_) {
+        audit_.inc(Counter::kWiredRejectQueueFull);
+        settles = false;
+        keep();
+      } else {
+        wire.credit -= 1.0;
+        push_packet(static_cast<std::uint32_t>(n_) + target, flow, 1,
+                    q_born_[base + r]);
+        audit_.inc(Counter::kWiredForwarded);
+        if (opt_.trace != nullptr)
+          opt_.trace->record(TraceEventKind::kWiredForward,
+                             static_cast<std::uint32_t>(slot), flow, 1, node,
+                             static_cast<std::uint32_t>(n_ + target));
+      }
     }
+    q_size_[node] = w;
+    s.arrived = false;
+    s.settled = settles;
+    if (settles)
+      s.held.assign(stalled_.begin(), stalled_.end());
+    else
+      s.held = std::vector<std::uint32_t>();  // held ids only while settled
   }
 
   // --- checkpoint / restore (MCCKPT1, docs/SCALE.md) -----------------------
@@ -1286,8 +1334,8 @@ class SlotSim {
                            opt_.sinr.field_radius, opt_.sinr.cca})
       w.echo(v, &W::f64, "checkpoint: SINR parameter mismatch",
              opt_.phy != phy::PhyKind::kProtocol);
-    w.echo(k_ > 0 ? net_.params().c() : 0.0, &W::f64,
-           "checkpoint: wired capacity c(n) mismatch");
+    const double wired_c = k_ > 0 ? net_.params().c() : 0.0;
+    w.echo(wired_c, &W::f64, "checkpoint: wired capacity c(n) mismatch");
     w.echo(dest_fingerprint(), &W::fixed,
            "checkpoint: traffic pattern (dest) fingerprint mismatch");
     w.echo(geometry_fingerprint(), &W::fixed,
@@ -1366,7 +1414,7 @@ class SlotSim {
     w.echo(rr_cell_.size(), &W::varint,
            "checkpoint: cell round-robin table size mismatch");
     for (std::size_t& v : rr_cell_) w.varint(v);
-    wire_credit_.walk_state(w, static_cast<std::uint64_t>(k_) * k_);
+    wire_credit_.walk_state(w, k_, wired_c, t_next);
     // Audit registry + series + delay log.
     audit_.walk_state(w, opt_.slots);
     w.count(delays_, 8, "delay log");  // one f64 per delay
@@ -1505,6 +1553,21 @@ class SlotSim {
   std::vector<std::uint32_t> serving_ids_;
   WireCreditMap wire_credit_;
   std::size_t rr_ = 0;
+
+  // wired_step's skip state, one per BS (schemes B and C). A BS is
+  // settled when every hop-0 packet in its queue has exactly one serving
+  // BS, so its target and edge are fixed, and stalled at the BS's last
+  // scan; `held` lists those packets' edge ids in queue order. Hop-0
+  // packets that arrived since (try_inject) sit after them and set
+  // `arrived`. Any fault event unsettles every BS, and a restored run
+  // starts unsettled.
+  struct Settle {
+    bool settled = false;
+    bool arrived = false;
+    std::vector<std::uint32_t> held;
+  };
+  std::vector<Settle> settle_;
+  std::vector<std::uint32_t> stalled_;  // the current scan's stalls
 
   // Scheme C state (cell members in CSR).
   std::vector<std::uint32_t> members_start_;

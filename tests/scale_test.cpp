@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "sim/slotsim.h"
 #include "sim/sweep.h"
 #include "sim/trace.h"
+#include "sim/wire_credit.h"
 #include "util/binio.h"
 #include "util/check.h"
 
@@ -274,6 +276,62 @@ TEST(Checkpoint, ResumeMidFaultPlanIsByteIdentical) {
   std::remove(path.c_str());
 }
 
+// ------------------------------------------------------------ wired step --
+
+// wired_step skips a settled BS queue whose waiting packets cannot move.
+// Every fault kind unsettles the queues, and a resumed run starts
+// unsettled: through both, the trace and a mid-run checkpoint must hash
+// to the values recorded from the full scan every slot, before the skip
+// existed. The plan severs 12 of the busiest edges at slot 100 and
+// restores them to half rate at 250, downs BS `bs` at 150 and revives it
+// at 500, has MS 5 leave at 200 and rejoin at 350, and blacks out a
+// region of two or three BSs at 300; the checkpoint lands at slot 400.
+TEST(SlotSimWired, FaultsAndResumeKeepParentBytes) {
+  struct Case {
+    std::size_t spec;
+    std::vector<std::pair<int, int>> edges;
+    int bs;
+    const char* region;
+    std::uint64_t trace_fnv;
+    std::uint64_t ckpt_fnv;
+  };
+  const Case cases[] = {
+      {2,  // scheme_b, k = 64
+       {{9, 56}, {18, 41}, {12, 28}, {8, 50}, {50, 57}, {28, 63},
+        {28, 41}, {28, 29}, {13, 56}, {13, 43}, {46, 54}, {30, 54}},
+       28, "0.3,0.7,0.15", 0x8ba08fa4885521daULL, 0xffd639ed33ddc391ULL},
+      {3,  // scheme_c, k = 28
+       {{8, 26}, {5, 11}, {13, 26}, {7, 17}, {1, 24}, {1, 9}, {0, 11},
+        {0, 7}, {17, 20}, {12, 16}, {14, 23}, {12, 20}},
+       13, "0.05,0.8,0.06", 0xe2d3aace8ca22754ULL, 0x78c764bdcc05576aULL},
+  };
+  for (const Case& c : cases) {
+    const GoldenTraceSpec spec = golden_trace_specs()[c.spec];
+    std::ostringstream os;
+    for (const auto& [a, b] : c.edges)
+      os << "wire@100:" << a << '-' << b << "x0;";
+    os << "down@150:" << c.bs << ";leave@200:5;";
+    for (const auto& [a, b] : c.edges)
+      os << "wire@250:" << a << '-' << b << "x0.5;";
+    os << "region@300:" << c.region << ";join@350:5;up@500:" << c.bs;
+    const FaultPlan plan = FaultPlan::parse(os.str());
+    const std::string path = tmp_ckpt("wired_" + spec.name);
+    const SimRun full = run_spec(spec, 1, spec.slots / 2, path, "", &plan);
+    EXPECT_GT(full.res.dropped_bs_outage, 0u) << spec.name;
+    EXPECT_GT(full.res.dropped_ms_churn, 0u) << spec.name;
+    const std::uint64_t trace_fnv =
+        util::binio::fnv1a(full.trace_bytes.data(), full.trace_bytes.size());
+    EXPECT_EQ(trace_fnv, c.trace_fnv)
+        << spec.name << " trace: 0x" << std::hex << trace_fnv;
+    EXPECT_EQ(file_fnv(path), c.ckpt_fnv)
+        << spec.name << " checkpoint: 0x" << std::hex << file_fnv(path);
+    const SimRun resumed = run_spec(spec, 1, 0, "", path, &plan);
+    EXPECT_EQ(full.trace_bytes, resumed.trace_bytes) << spec.name;
+    expect_identical(full.res, resumed.res, spec.name + " resumed");
+    std::remove(path.c_str());
+  }
+}
+
 // ------------------------------------------------------------ validation --
 
 TEST(Checkpoint, ConfigMismatchIsRejected) {
@@ -346,6 +404,7 @@ std::vector<std::uint8_t> mid_run_checkpoint(const ResumeCase& c) {
 /// without a traffic model.
 struct CkptLayout {
   std::uint64_t k = 0;                // BSs, from the config echo
+  std::uint64_t resume_slot = 0;
   std::size_t first_queued_flow = 0;  // 0: no packet is queued
   std::size_t serving_start = 0;      // the serving CSR's offset list
   std::size_t serving_ids = 0;        // and its BS id list
@@ -376,7 +435,7 @@ CkptLayout walk_layout(const std::vector<std::uint8_t>& bytes) {
   r.varint(at.k);
   skip(0, 5, 2, 0);  // slots … seed, ct, delta
   skip(1, 0, 7, 4);  // phy, six SINR parameters, c(n), four fingerprints
-  skip(0, 1, 0, 0);  // resume slot
+  r.varint(at.resume_slot);
   skip(2, 5, 0, 0);  // measuring, hash flag, pair count … live BSs
   skip_bytes_table();  // BS liveness
   skip_bytes_table();  // MS presence
@@ -497,35 +556,131 @@ TEST(Checkpoint, ServingCsrOutOfRangeIsRejected) {
   expect_resume_error(c, foreign, "serving BS id");
 }
 
-// The ledger is a hash map keyed by packed BS pairs: a key equal to its
-// empty marker, or a repeated key, would leave its edge count wrong.
-TEST(Checkpoint, WiredEdgeKeysAreChecked) {
-  const ResumeCase c{golden_trace_specs()[2]};  // scheme_b
-  const std::vector<std::uint8_t> bytes = mid_run_checkpoint(c);
-  const CkptLayout at = walk_layout(bytes);
+/// Byte offsets of the first wired edge's fields.
+struct WireEdgeAt {
+  std::size_t key = 0;
+  std::size_t credit = 0;
+  std::size_t topup = 0;
+  std::size_t scale = 0;
+  std::size_t next_key = 0;  // the second edge's key
+};
+
+WireEdgeAt first_wire_edge(const std::vector<std::uint8_t>& bytes,
+                           const CkptLayout& at) {
   util::binio::Walker r(bytes, at.wire_edges, bytes.size(), "ledger");
-  std::uint64_t edges = 0;
-  r.varint(edges);
-  ASSERT_GE(edges, 2u);
-  const std::size_t first_key = r.pos();
-  std::uint64_t key = 0;
-  r.fixed(key);
-
-  std::vector<std::uint8_t> empty_marker = bytes;
-  put_fixed_at(empty_marker, first_key, ~std::uint64_t{0});
-  reseal(empty_marker);
-  expect_resume_error(c, empty_marker, "invalid wired edge key");
-
-  // Find the second key: skip the first edge's credit, top-up and scale.
+  std::uint64_t v = 0;
   double d = 0.0;
-  std::uint64_t topup = 0;
+  r.varint(v);
+  EXPECT_GE(v, 2u) << "the crafted checkpoints need two wired edges";
+  WireEdgeAt e;
+  e.key = r.pos();
+  r.fixed(v);
+  e.credit = r.pos();
   r.f64(d);
-  r.varint(topup);
+  e.topup = r.pos();
+  r.varint(v);
+  e.scale = r.pos();
   r.f64(d);
-  std::vector<std::uint8_t> repeated = bytes;
-  put_fixed_at(repeated, r.pos(), key);
-  reseal(repeated);
-  expect_resume_error(c, repeated, "duplicate wired edge key");
+  e.next_key = r.pos();
+  return e;
+}
+
+/// The two golden schemes with a wired backbone, checkpointed mid-run.
+std::vector<ResumeCase> wired_cases() {
+  return {{golden_trace_specs()[2]}, {golden_trace_specs()[3]}};
+}
+
+// The ledger is a hash map keyed by packed BS pairs: a key equal to its
+// empty marker, or a repeated key, would leave its edge count wrong, and
+// an edge must join two distinct BSs a < b < k.
+TEST(Checkpoint, WiredEdgeKeysAreChecked) {
+  for (const ResumeCase& c : wired_cases()) {
+    SCOPED_TRACE(c.name());
+    const std::vector<std::uint8_t> bytes = mid_run_checkpoint(c);
+    const CkptLayout at = walk_layout(bytes);
+    const WireEdgeAt e = first_wire_edge(bytes, at);
+    for (const std::uint64_t bad :
+         {~std::uint64_t{0}, wire_edge_key(3, 3), wire_edge_key(0, 0),
+          wire_edge_key(0, static_cast<std::uint32_t>(at.k)),
+          (std::uint64_t{5} << 32) | 2}) {
+      std::vector<std::uint8_t> crafted = bytes;
+      put_fixed_at(crafted, e.key, bad);
+      reseal(crafted);
+      expect_resume_error(c, crafted, "invalid wired edge key");
+    }
+    std::uint64_t key = 0;
+    util::binio::Walker(bytes, e.key, bytes.size(), "ledger").fixed(key);
+    std::vector<std::uint8_t> repeated = bytes;
+    put_fixed_at(repeated, e.next_key, key);
+    reseal(repeated);
+    expect_resume_error(c, repeated, "duplicate wired edge key");
+  }
+}
+
+// A credit outside [0, max(1, 4c)] no run can reach: a NaN made the
+// stall test (credit < 1) and every comparison false, and −5 or 10⁹
+// resumed into a different trajectory.
+TEST(Checkpoint, WiredEdgeCreditIsChecked) {
+  for (const ResumeCase& c : wired_cases()) {
+    SCOPED_TRACE(c.name());
+    const std::vector<std::uint8_t> bytes = mid_run_checkpoint(c);
+    const WireEdgeAt e = first_wire_edge(bytes, walk_layout(bytes));
+    const double depth = wire_bucket_depth(c.spec.params.c());
+    for (const double x :
+         {std::nan(""), -5.0, 1e9, -1e-300, std::nextafter(depth, 2.0)}) {
+      std::vector<std::uint8_t> crafted = bytes;
+      put_fixed_at(crafted, e.credit, std::bit_cast<std::uint64_t>(x));
+      reseal(crafted);
+      expect_resume_error(c, crafted, "wired edge credit out of range");
+    }
+  }
+}
+
+// An edge topped up after the resume slot would skip accrual the resumed
+// run owes it.
+TEST(Checkpoint, WiredEdgeTopUpIsChecked) {
+  for (const ResumeCase& c : wired_cases()) {
+    SCOPED_TRACE(c.name());
+    const std::vector<std::uint8_t> bytes = mid_run_checkpoint(c);
+    const CkptLayout at = walk_layout(bytes);
+    const WireEdgeAt e = first_wire_edge(bytes, at);
+    for (const std::uint64_t slot :
+         {at.resume_slot + 1, std::uint64_t{1} << 40}) {
+      std::vector<std::uint8_t> crafted = bytes;
+      splice_varint(crafted, e.topup, slot);
+      reseal(crafted);
+      expect_resume_error(c, crafted,
+                          "wired edge top-up after the resume slot");
+    }
+  }
+}
+
+// A fault scales an edge within [0, 1]; anything else is no run's state.
+TEST(Checkpoint, WiredEdgeScaleIsChecked) {
+  for (const ResumeCase& c : wired_cases()) {
+    SCOPED_TRACE(c.name());
+    const std::vector<std::uint8_t> bytes = mid_run_checkpoint(c);
+    const WireEdgeAt e = first_wire_edge(bytes, walk_layout(bytes));
+    for (const double x : {std::nan(""), HUGE_VAL, -0.5, 1.5}) {
+      std::vector<std::uint8_t> crafted = bytes;
+      put_fixed_at(crafted, e.scale, std::bit_cast<std::uint64_t>(x));
+      reseal(crafted);
+      expect_resume_error(c, crafted, "wired edge scale out of range");
+    }
+  }
+}
+
+// k BSs have at most k(k−1)/2 edges.
+TEST(Checkpoint, WiredEdgeCountIsChecked) {
+  for (const ResumeCase& c : wired_cases()) {
+    SCOPED_TRACE(c.name());
+    const std::vector<std::uint8_t> bytes = mid_run_checkpoint(c);
+    const CkptLayout at = walk_layout(bytes);
+    std::vector<std::uint8_t> crafted = bytes;
+    splice_varint(crafted, at.wire_edges, at.k * (at.k - 1) / 2 + 1);
+    reseal(crafted);
+    expect_resume_error(c, crafted, "wired edge count out of range");
+  }
 }
 
 // A NaN position reached SpatialHash's float-to-int bucket cast (UBSan's

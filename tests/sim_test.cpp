@@ -21,6 +21,8 @@
 #include "sim/slotsim_reference.h"
 #include "sim/sweep.h"
 #include "sim/trace.h"
+#include "sim/wire_credit.h"
+#include "util/binio.h"
 #include "util/check.h"
 
 namespace manetcap::sim {
@@ -668,21 +670,27 @@ TEST(SlotSimValidation, EachBadOptionThrowsItsNamedError) {
 // --------------------------------- SoA simulator vs frozen reference --
 
 // The SoA hot-path rewrite must be behaviorally invisible: identical
-// result structs and byte-identical traces on the same inputs, for every
-// scheme and a non-i.i.d. mobility mix (incremental spatial-hash moves
-// only happen under walk/pull/brownian mobility).
-void expect_matches_reference(const net::ScalingParams& p,
-                              net::BsPlacement placement,
-                              std::uint64_t build_seed, SlotSimOptions opt) {
+// result structs, byte-identical traces and the same wired counters (a
+// stall or a rejection leaves no trace event) on the same inputs, for
+// every scheme and a non-i.i.d. mobility mix (incremental spatial-hash
+// moves only happen under walk/pull/brownian mobility). Returns the SoA
+// run's audit.
+Metrics expect_matches_reference(const net::ScalingParams& p,
+                                 net::BsPlacement placement,
+                                 std::uint64_t build_seed,
+                                 SlotSimOptions opt) {
   auto net = net::Network::build(p, mobility::ShapeKind::kUniformDisk,
                                  placement, build_seed);
   rng::Xoshiro256 g(build_seed + 1);
   auto dest = net::permutation_traffic(p.n, g);
 
   Trace trace_new, trace_ref;
+  Metrics audit_new, audit_ref;
   opt.trace = &trace_new;
+  opt.metrics = &audit_new;
   auto got = run_slot_sim(net, dest, opt);
   opt.trace = &trace_ref;
+  opt.metrics = &audit_ref;
   auto want = run_slot_sim_reference(net, dest, opt);
 
   EXPECT_DOUBLE_EQ(got.mean_flow_rate, want.mean_flow_rate);
@@ -699,6 +707,11 @@ void expect_matches_reference(const net::ScalingParams& p,
   EXPECT_EQ(got.dropped, want.dropped);
   EXPECT_EQ(trace_new.encode(), trace_ref.encode())
       << "per-packet event streams diverged";
+  for (const Counter c :
+       {Counter::kWiredForwarded, Counter::kWiredCreditStall,
+        Counter::kWiredRejectQueueFull, Counter::kUndeliverable})
+    EXPECT_EQ(audit_new.count(c), audit_ref.count(c)) << to_string(c);
+  return audit_new;
 }
 
 TEST(SlotSimEquivalence, SchemeAWalkMatchesReference) {
@@ -746,6 +759,184 @@ TEST(SlotSimEquivalence, SchemeCPullHomeMatchesReference) {
   opt.seed = 233;
   expect_matches_reference(trivial_params(1024),
                            net::BsPlacement::kClusterGrid, 231, opt);
+}
+
+// wired_step skips a settled BS queue: one serving BS per waiting packet,
+// every one stalled on credit. Its ready test meets the bucket at
+// different points per wire rate c = n^phi / k: depth 1 below c = 1/4 and
+// between 1/4 and 1 (edges wait several slots; c = 1/32 and 1/64 sum to
+// exactly one unit), exactly one unit per slot at c = 1, depth 4c above
+// 1. Each case runs the default queue bound and a bound of 6, and checks
+// that packets are forwarded and, with the small queues, meet full target
+// queues; a case named "Stalls" also checks that packets stall on credit.
+// Scheme C has one serving BS per MS, so its queues settle, and it
+// uplinks one packet per cell per slot, so at c >= 1 its edges keep up.
+// Scheme B's packets mostly have several serving BSs, so it mostly scans.
+void expect_wired_band_matches_reference(Scheme scheme, double phi,
+                                         double c_lo, double c_hi,
+                                         bool stalls) {
+  // Scheme B: k = 256^0.75 = 64 exactly. Scheme C: k = 1024^0.5 = 32
+  // exactly. Both make c = 1 exact at phi = K.
+  net::ScalingParams p =
+      scheme == Scheme::kSchemeB ? strong_params(256) : trivial_params(1024);
+  if (scheme == Scheme::kSchemeC) p.K = 0.5;
+  p.phi = phi;
+  ASSERT_GE(p.c(), c_lo);
+  ASSERT_LE(p.c(), c_hi);
+  for (const std::size_t max_queue : {std::size_t{64}, std::size_t{6}}) {
+    SCOPED_TRACE("max_queue " + std::to_string(max_queue));
+    SlotSimOptions opt;
+    opt.scheme = scheme;
+    opt.slots = 1500;
+    opt.warmup = 300;
+    opt.seed = 241;
+    opt.max_queue = max_queue;
+    const Metrics m = expect_matches_reference(
+        p,
+        scheme == Scheme::kSchemeB ? net::BsPlacement::kClusteredMatched
+                                   : net::BsPlacement::kClusterGrid,
+        243, opt);
+    if (stalls) {
+      EXPECT_GT(m.count(Counter::kWiredCreditStall), 0u);
+    }
+    EXPECT_GT(m.count(Counter::kWiredForwarded), 0u);
+    if (max_queue == 6) {
+      EXPECT_GT(m.count(Counter::kWiredRejectQueueFull), 0u);
+    }
+  }
+}
+
+TEST(SlotSimEquivalence, SchemeBWireRateBelowQuarterStallsLikeReference) {
+  expect_wired_band_matches_reference(Scheme::kSchemeB, 0.0, 0.0, 0.25, true);
+}
+
+TEST(SlotSimEquivalence, SchemeBWireRateBelowOneStallsLikeReference) {
+  expect_wired_band_matches_reference(Scheme::kSchemeB, 0.6, 0.25, 1.0, true);
+}
+
+TEST(SlotSimEquivalence, SchemeBWireRateOneStallsLikeReference) {
+  expect_wired_band_matches_reference(Scheme::kSchemeB, 0.75, 1.0, 1.0, true);
+}
+
+TEST(SlotSimEquivalence, SchemeBWireRateAboveOneStallsLikeReference) {
+  expect_wired_band_matches_reference(Scheme::kSchemeB, 0.8, 1.0, 64.0, true);
+}
+
+TEST(SlotSimEquivalence, SchemeCWireRateBelowQuarterStallsLikeReference) {
+  expect_wired_band_matches_reference(Scheme::kSchemeC, 0.0, 0.0, 0.25, true);
+}
+
+TEST(SlotSimEquivalence, SchemeCWireRateBelowOneStallsLikeReference) {
+  expect_wired_band_matches_reference(Scheme::kSchemeC, 0.35, 0.25, 1.0,
+                                      true);
+}
+
+TEST(SlotSimEquivalence, SchemeCWireRateOneForwardsLikeReference) {
+  expect_wired_band_matches_reference(Scheme::kSchemeC, 0.5, 1.0, 1.0, false);
+}
+
+TEST(SlotSimEquivalence, SchemeCWireRateAboveOneForwardsLikeReference) {
+  expect_wired_band_matches_reference(Scheme::kSchemeC, 0.7, 1.0, 64.0,
+                                      false);
+}
+
+// ---------------------------------------------------------- wired ledger --
+
+// A settled BS holds edge ids across slots: ids are dense, handed out in
+// first-use order, and name the same state through every later insertion.
+TEST(WireCreditMap, IdsAreDenseInFirstUseOrder) {
+  WireCreditMap map;
+  const std::uint64_t keys[] = {wire_edge_key(7, 3), wire_edge_key(0, 1),
+                                wire_edge_key(9, 2)};
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    const auto [id, first_use] = map.try_emplace(keys[i]);
+    EXPECT_EQ(id, i);
+    EXPECT_TRUE(first_use);
+  }
+  EXPECT_EQ(map.try_emplace(wire_edge_key(3, 7)),
+            std::make_pair(std::uint32_t{0}, false));
+  EXPECT_EQ(map.size(), 3u);
+  for (std::uint32_t i = 0; i < 3; ++i) EXPECT_EQ(map.key(i), keys[i]);
+}
+
+TEST(WireCreditMap, TryEmplaceAndAtAgree) {
+  WireCreditMap map;
+  for (std::uint32_t b = 1; b < 40; ++b) {
+    WireState& s = map.at(map.try_emplace(wire_edge_key(0, b)).first);
+    s.credit = 1.0 / b;
+    s.last_topup = b;
+  }
+  for (std::uint32_t b = 39; b >= 1; --b) {
+    const auto [id, first_use] = map.try_emplace(wire_edge_key(b, 0));
+    EXPECT_FALSE(first_use);
+    EXPECT_EQ(map.key(id), wire_edge_key(0, b));
+    EXPECT_EQ(map.at(id).credit, 1.0 / b);
+    EXPECT_EQ(map.at(id).last_topup, b);
+  }
+}
+
+TEST(WireCreditMap, IdsSurviveGrowth) {
+  constexpr std::uint32_t kEdges = 100000;
+  const auto key_of = [](std::uint32_t i) {
+    const std::uint32_t a = (i * 7919u) % 1000u;
+    return wire_edge_key(a, a + 1 + i / 1000u);
+  };
+  WireCreditMap map;
+  for (std::uint32_t i = 0; i < kEdges; ++i) {
+    const auto [id, first_use] = map.try_emplace(key_of(i));
+    ASSERT_EQ(id, i);
+    ASSERT_TRUE(first_use);
+    map.at(id).last_topup = i;
+  }
+  ASSERT_EQ(map.size(), kEdges);
+  for (std::uint32_t i = 0; i < kEdges; ++i) {
+    ASSERT_EQ(map.try_emplace(key_of(i)),
+              std::make_pair(i, false));
+    ASSERT_EQ(map.key(i), key_of(i));
+    ASSERT_EQ(map.at(i).last_topup, i);
+  }
+}
+
+// The checkpoint sees keys in ascending order whatever order the edges
+// were first used in, so the ids never reach a file; reading a walk back
+// and walking it again gives the same bytes.
+TEST(WireCreditMap, WalkWritesAscendingKeysAndRoundTrips) {
+  const std::vector<std::pair<std::uint32_t, std::uint32_t>> edges = {
+      {5, 2}, {0, 7}, {3, 4}, {1, 6}, {0, 1}, {6, 7}};
+  const auto walked = [](const WireCreditMap& src) {
+    WireCreditMap map = src;
+    std::vector<std::uint8_t> bytes;
+    util::binio::Walker w(bytes);
+    map.walk_state(w, 8, 0.25, 100);
+    return bytes;
+  };
+  WireCreditMap forward, backward;
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    const auto [a, b] = edges[i];
+    WireState& s = forward.at(forward.try_emplace(wire_edge_key(a, b)).first);
+    s = {0.125 * static_cast<double>(a), 10 * b, 0.5};
+    const auto [c, d] = edges[edges.size() - 1 - i];
+    WireState& t =
+        backward.at(backward.try_emplace(wire_edge_key(d, c)).first);
+    t = {0.125 * static_cast<double>(c), 10 * d, 0.5};
+  }
+  const std::vector<std::uint8_t> bytes = walked(forward);
+  EXPECT_EQ(bytes, walked(backward));
+
+  WireCreditMap restored;
+  util::binio::Walker r(bytes, 0, bytes.size(), "ledger");
+  restored.walk_state(r, 8, 0.25, 100);
+  EXPECT_TRUE(r.at_end());
+  EXPECT_EQ(walked(restored), bytes);
+  ASSERT_EQ(restored.size(), edges.size());
+  for (std::uint32_t id = 1; id < restored.size(); ++id)
+    EXPECT_LT(restored.key(id - 1), restored.key(id));
+  for (const auto& [a, b] : edges) {
+    const auto [id, first_use] = restored.try_emplace(wire_edge_key(a, b));
+    EXPECT_FALSE(first_use);
+    EXPECT_EQ(restored.at(id).credit, 0.125 * static_cast<double>(a));
+    EXPECT_EQ(restored.at(id).last_topup, 10 * b);
+  }
 }
 
 // ------------------------------------------- packet-conservation audit --
