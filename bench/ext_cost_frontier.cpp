@@ -77,13 +77,11 @@ int main(int argc, char** argv) {
   const util::Flags flags(argc, argv, {"smoke", "check", "n0", "threads"});
   const bool smoke = flags.get_bool("smoke", false);
   const bool check = flags.get_bool("check", false);
-  const std::size_t n0 =
-      static_cast<std::size_t>(flags.get_int("n0", 2048));
+  const std::size_t n0 = flags.get_count("n0", 2048);
   const std::size_t count = smoke ? 4 : 5;
   const std::size_t trials = 2;
-  const auto num_threads = static_cast<std::size_t>(flags.get_int(
-      "threads",
-      static_cast<long>(util::ThreadPool::default_num_threads())));
+  const auto num_threads =
+      flags.get_count("threads", util::ThreadPool::default_num_threads());
 
   // Scheme C lives in the trivial regime over a clustered layout (the
   // scheme_c golden-trace shape); scheme B runs strong-mobility and

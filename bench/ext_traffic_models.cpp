@@ -61,8 +61,7 @@ int main(int argc, char** argv) {
   const util::Flags flags(argc, argv, {"smoke", "check", "n"});
   const bool smoke = flags.get_bool("smoke", false);
   const bool check = flags.get_bool("check", false);
-  const std::size_t n =
-      static_cast<std::size_t>(flags.get_int("n", smoke ? 1024 : 4096));
+  const std::size_t n = flags.get_count("n", smoke ? 1024 : 4096);
   const std::size_t slots = smoke ? 1000 : 2000;
   const std::size_t warmup = slots / 10;
 

@@ -2,7 +2,6 @@
 // network (left panel of the paper's figure) vs a uniformly dense one
 // (right panel). We print ASCII density maps plus the min/max/contrast
 // statistics that Definition 8 bounds.
-#include <algorithm>
 #include <cmath>
 #include <iostream>
 #include <vector>
@@ -64,9 +63,8 @@ void render_panel(const Panel& panel, util::Table* summary) {
 
 int main(int argc, char** argv) {
   const util::Flags flags(argc, argv, {"threads"});
-  const auto num_threads = static_cast<std::size_t>(
-      flags.get_int("threads",
-                    static_cast<long>(util::ThreadPool::default_num_threads())));
+  const auto num_threads =
+      flags.get_count("threads", util::ThreadPool::default_num_threads());
   std::cout << "=== Figure 1: uniformly dense vs non-uniformly dense ===\n"
             << "rho(X) per Definition 7 on a 32x32 probe grid ('@' = max).\n\n";
 
@@ -105,10 +103,7 @@ int main(int argc, char** argv) {
 
   // Each panel samples its own instance — independent tasks; the rendering
   // below stays serial, so output order is fixed for any thread count.
-  util::ThreadPool pool(std::min<std::size_t>(
-      num_threads == 0 ? util::ThreadPool::default_num_threads() : num_threads,
-      panels.size()));
-  pool.for_each_index(panels.size(), [&panels](std::size_t i) {
+  const auto sample_panel = [&panels](std::size_t i) {
     auto& panel = panels[i];
     const auto& p = panel.params;
     auto net = net::Network::build(
@@ -118,7 +113,9 @@ int main(int argc, char** argv) {
         panel.seed);
     panel.field = analysis::compute_density_field(
         net.ms_home(), net.bs_pos(), net.shape(), p.f(), 32);
-  });
+  };
+  util::ThreadPool::shared().parallel_for(panels.size(), sample_panel,
+                                          num_threads);
 
   for (const auto& panel : panels) render_panel(panel, &summary);
 

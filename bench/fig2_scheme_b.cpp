@@ -4,7 +4,6 @@
 // BSs→MS). We instrument a sampled instance and print, for several wired
 // bandwidth exponents ϕ, the sustainable rate of each phase and which one
 // binds — the quantitative content behind the picture.
-#include <algorithm>
 #include <cstdio>
 #include <iostream>
 #include <vector>
@@ -77,9 +76,8 @@ void draw_instance() {
 
 int main(int argc, char** argv) {
   const util::Flags flags(argc, argv, {"threads"});
-  const auto num_threads = static_cast<std::size_t>(
-      flags.get_int("threads",
-                    static_cast<long>(util::ThreadPool::default_num_threads())));
+  const auto num_threads =
+      flags.get_count("threads", util::ThreadPool::default_num_threads());
   std::cout << "=== Figure 2: optimal routing scheme B, phase by phase ===\n"
             << "n = 8192, K = 0.7 (k = n^0.7), squarelet grouping; the\n"
             << "wired backbone carries mu_c = k*c = n^phi per BS.\n\n";
@@ -93,10 +91,7 @@ int main(int argc, char** argv) {
   // tasks writing pre-sized slots; rows are printed in phi order below.
   const std::vector<double> phis = {-1.0, -0.5, -0.25, 0.0, 0.5, 1.0};
   std::vector<routing::SchemeBResult> results(phis.size());
-  util::ThreadPool pool(std::min<std::size_t>(
-      num_threads == 0 ? util::ThreadPool::default_num_threads() : num_threads,
-      phis.size()));
-  pool.for_each_index(phis.size(), [&phis, &results](std::size_t i) {
+  const auto evaluate_row = [&phis, &results](std::size_t i) {
     net::ScalingParams p;
     p.n = 8192;
     p.alpha = 0.3;
@@ -111,7 +106,9 @@ int main(int argc, char** argv) {
     auto dest = net::permutation_traffic(p.n, g);
     routing::SchemeB b;
     results[i] = b.evaluate(net, dest);
-  });
+  };
+  util::ThreadPool::shared().parallel_for(phis.size(), evaluate_row,
+                                          num_threads);
 
   for (std::size_t i = 0; i < phis.size(); ++i) {
     const auto& r = results[i];

@@ -48,9 +48,8 @@ void print_panel(double phi) {
 
 int main(int argc, char** argv) {
   const util::Flags flags(argc, argv, {"threads"});
-  const auto num_threads = static_cast<std::size_t>(
-      flags.get_int("threads",
-                    static_cast<long>(util::ThreadPool::default_num_threads())));
+  const auto num_threads =
+      flags.get_count("threads", util::ThreadPool::default_num_threads());
   std::cout << "=== Figure 3: capacity over (alpha, K), phi as parameter ===\n\n"
             << "--- left panel: phi = 0 (access phase is the bottleneck) ---\n";
   print_panel(0.0);

@@ -72,8 +72,7 @@ int main(int argc, char** argv) {
                           {"smoke", "check", "n", "budget"});
   const bool smoke = flags.get_bool("smoke", false);
   const bool check = flags.get_bool("check", false);
-  const std::size_t n_top = static_cast<std::size_t>(
-      flags.get_int("n", smoke ? 20000 : 100000));
+  const std::size_t n_top = flags.get_count("n", smoke ? 20000 : 100000);
   const double budget_s = flags.get_double("budget", 60.0);
 
   util::CsvWriter csv(util::artifact_path("flowsim_speed"),

@@ -38,9 +38,8 @@ bool identical(const sim::SweepResult& a, const sim::SweepResult& b) {
 
 int main(int argc, char** argv) {
   const util::Flags flags(argc, argv, {"threads"});
-  const auto num_threads = static_cast<std::size_t>(
-      flags.get_int("threads",
-                    static_cast<long>(util::ThreadPool::default_num_threads())));
+  const auto num_threads =
+      flags.get_count("threads", util::ThreadPool::default_num_threads());
 
   net::ScalingParams p;
   p.alpha = 0.25;

@@ -83,10 +83,8 @@ int main(int argc, char** argv) {
                           {"smoke", "check", "n", "slots", "budget-ratio"});
   const bool smoke = flags.get_bool("smoke", false);
   const bool check = flags.get_bool("check", false);
-  const std::size_t n =
-      static_cast<std::size_t>(flags.get_int("n", smoke ? 256 : 512));
-  const std::size_t slots =
-      static_cast<std::size_t>(flags.get_int("slots", smoke ? 400 : 800));
+  const std::size_t n = flags.get_count("n", smoke ? 256 : 512);
+  const std::size_t slots = flags.get_count("slots", smoke ? 400 : 800);
   const double budget_ratio = flags.get_double("budget-ratio", 8.0);
 
   const std::string artifact = util::artifact_path("sinr_smoke");

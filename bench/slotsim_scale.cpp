@@ -107,11 +107,9 @@ int main(int argc, char** argv) {
       argc, argv, {"n", "shards", "slots", "smoke", "check", "baseline"});
   const bool smoke = flags.get_bool("smoke", false);
   const std::string case_name = smoke ? "smoke" : "full";
-  const std::size_t shards =
-      static_cast<std::size_t>(flags.get_int("shards", 8));
+  const std::size_t shards = flags.get_count("shards", 8);
 
-  const std::size_t n_top = static_cast<std::size_t>(
-      flags.get_int("n", smoke ? 20000 : 1000000));
+  const std::size_t n_top = flags.get_count("n", smoke ? 20000 : 1000000);
   std::vector<std::size_t> sizes;
   if (smoke) {
     sizes = {n_top};
@@ -124,8 +122,7 @@ int main(int argc, char** argv) {
 
   sim::SlotSimOptions base;
   base.scheme = sim::Scheme::kSchemeB;
-  base.slots =
-      static_cast<std::size_t>(flags.get_int("slots", smoke ? 120 : 40));
+  base.slots = flags.get_count("slots", smoke ? 120 : 40);
   base.warmup = base.slots / 10;
   base.seed = 1;
 

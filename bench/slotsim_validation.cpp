@@ -100,9 +100,8 @@ int main(int argc, char** argv) {
   if (flags.get_bool("trace-overhead-check", false))
     return run_trace_overhead_check();
   const bool with_trace = flags.get_bool("trace", false);
-  const auto num_threads = static_cast<std::size_t>(
-      flags.get_int("threads",
-                    static_cast<long>(util::ThreadPool::default_num_threads())));
+  const auto num_threads =
+      flags.get_count("threads", util::ThreadPool::default_num_threads());
   std::cout << "=== slot-level schedule vs fluid capacity ===\n"
             << "saturated sources, S* scheduling, 4000 slots (400 warmup)\n\n";
 
@@ -166,38 +165,31 @@ int main(int argc, char** argv) {
     sim::Trace trace;      // captured only when --trace is set
   };
   std::vector<CaseResult> results(cases.size());
-  {
-    util::ThreadPool pool(std::min<std::size_t>(
-        num_threads == 0 ? util::ThreadPool::default_num_threads()
-                         : num_threads,
-        cases.size()));
-    pool.for_each_index(cases.size(), [&cases, &results,
-                                       with_trace](std::size_t i) {
-      const auto& c = cases[i];
-      auto net = net::Network::build(
-          c.params, mobility::ShapeKind::kUniformDisk,
-          c.scheme == sim::Scheme::kSchemeC
-              ? net::BsPlacement::kClusterGrid
-              : net::BsPlacement::kClusteredMatched,
-          101);
-      rng::Xoshiro256 g(103);
-      auto dest = net::permutation_traffic(c.params.n, g);
+  const auto run_case = [&cases, &results, with_trace](std::size_t i) {
+    const auto& c = cases[i];
+    auto net = net::Network::build(
+        c.params, mobility::ShapeKind::kUniformDisk,
+        c.scheme == sim::Scheme::kSchemeC ? net::BsPlacement::kClusterGrid
+                                          : net::BsPlacement::kClusteredMatched,
+        101);
+    rng::Xoshiro256 g(103);
+    auto dest = net::permutation_traffic(c.params.n, g);
 
-      const auto fluid = sim::evaluate_scheme(net, dest, c.scheme);
+    const auto fluid = sim::evaluate_scheme(net, dest, c.scheme);
 
-      sim::SlotSimOptions opt;
-      opt.scheme = c.scheme;
-      opt.slots = 4000;
-      opt.warmup = 400;
-      opt.seed = 107;
-      results[i].strict = fluid.throughput.lambda;
-      results[i].symmetric = fluid.lambda_symmetric;
-      results[i].metrics.enable_series(opt.slots);
-      opt.metrics = &results[i].metrics;
-      if (with_trace) opt.trace = &results[i].trace;
-      results[i].slot = sim::run_slot_sim(net, dest, opt);
-    });
-  }
+    sim::SlotSimOptions opt;
+    opt.scheme = c.scheme;
+    opt.slots = 4000;
+    opt.warmup = 400;
+    opt.seed = 107;
+    results[i].strict = fluid.throughput.lambda;
+    results[i].symmetric = fluid.lambda_symmetric;
+    results[i].metrics.enable_series(opt.slots);
+    opt.metrics = &results[i].metrics;
+    if (with_trace) opt.trace = &results[i].trace;
+    results[i].slot = sim::run_slot_sim(net, dest, opt);
+  };
+  util::ThreadPool::shared().parallel_for(cases.size(), run_case, num_threads);
 
   // --trace: replay every captured event log through the invariant
   // checker; a violation in any case fails the bench.
@@ -277,20 +269,18 @@ int main(int argc, char** argv) {
                                                  sim::SlotMobility::kWalk,
                                                  sim::SlotMobility::kPullHome};
     std::vector<sim::SlotSimResult> mob_results(mobs.size());
-    util::ThreadPool pool(std::min<std::size_t>(
-        num_threads == 0 ? util::ThreadPool::default_num_threads()
-                         : num_threads,
-        mobs.size()));
-    pool.for_each_index(mobs.size(),
-                        [&mobs, &mob_results, &net, &dest](std::size_t i) {
-                          sim::SlotSimOptions opt;
-                          opt.scheme = sim::Scheme::kSchemeA;
-                          opt.mobility = mobs[i];
-                          opt.slots = 4000;
-                          opt.warmup = 400;
-                          opt.seed = 127;
-                          mob_results[i] = sim::run_slot_sim(net, dest, opt);
-                        });
+    const auto run_mobility = [&mobs, &mob_results, &net,
+                               &dest](std::size_t i) {
+      sim::SlotSimOptions opt;
+      opt.scheme = sim::Scheme::kSchemeA;
+      opt.mobility = mobs[i];
+      opt.slots = 4000;
+      opt.warmup = 400;
+      opt.seed = 127;
+      mob_results[i] = sim::run_slot_sim(net, dest, opt);
+    };
+    util::ThreadPool::shared().parallel_for(mobs.size(), run_mobility,
+                                            num_threads);
     for (std::size_t i = 0; i < mobs.size(); ++i) {
       const auto& r = mob_results[i];
       const char* name = mobs[i] == sim::SlotMobility::kIid    ? "iid"

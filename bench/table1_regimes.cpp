@@ -67,9 +67,8 @@ net::ScalingParams make(double alpha, bool with_bs, double K, double M,
 
 int main(int argc, char** argv) {
   const util::Flags flags(argc, argv, {"threads"});
-  const auto num_threads = static_cast<std::size_t>(
-      flags.get_int("threads",
-                    static_cast<long>(util::ThreadPool::default_num_threads())));
+  const auto num_threads =
+      flags.get_count("threads", util::ThreadPool::default_num_threads());
   std::cout << "=== Table I: capacity scaling in every mobility regime ===\n"
             << "lambda(n) measured by the fluid evaluator with the regime's\n"
             << "optimal scheme; slope of log lambda vs log n compared with\n"

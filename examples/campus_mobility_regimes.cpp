@@ -21,7 +21,7 @@
 int main(int argc, char** argv) {
   using namespace manetcap;
   util::Flags flags(argc, argv, {"n"});
-  const std::size_t n = static_cast<std::size_t>(flags.get_int("n", 8192));
+  const std::size_t n = flags.get_count("n", 8192);
 
   std::cout << "=== one population (" << n
             << " devices), growing geography ===\n\n";

@@ -19,9 +19,8 @@
 int main(int argc, char** argv) {
   using namespace manetcap;
   util::Flags flags(argc, argv, {"n", "slots"});
-  const std::size_t n = static_cast<std::size_t>(flags.get_int("n", 512));
-  const std::size_t slots =
-      static_cast<std::size_t>(flags.get_int("slots", 3000));
+  const std::size_t n = flags.get_count("n", 512);
+  const std::size_t slots = flags.get_count("slots", 3000);
 
   std::cout << "=== delay-tolerant fleet: " << n << " vehicles, " << slots
             << " slots ===\n\n";

@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   using namespace manetcap;
   util::Flags flags(argc, argv, {"n", "alpha", "target"});
   net::ScalingParams p;
-  p.n = static_cast<std::size_t>(flags.get_int("n", 8192));
+  p.n = flags.get_count("n", 8192);
   p.alpha = flags.get_double("alpha", 0.3);
   p.with_bs = true;
   p.M = 1.0;

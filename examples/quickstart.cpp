@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
 
   // --- 1. scaling parameters --------------------------------------------
   net::ScalingParams p;
-  p.n = static_cast<std::size_t>(flags.get_int("n", 4096));
+  p.n = flags.get_count("n", 4096);
   p.alpha = flags.get_double("alpha", 0.3);  // side length f = n^alpha
   p.with_bs = true;
   p.K = flags.get_double("K", 0.7);          // k = n^K base stations

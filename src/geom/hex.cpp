@@ -63,13 +63,4 @@ std::vector<Hex> HexGrid::cells_within(double radius) const {
   return cells;
 }
 
-int HexGrid::tdma_color(Hex h, int period) const {
-  MANETCAP_CHECK_MSG(period >= 1, "TDMA period must be >= 1");
-  auto mod = [period](int v) {
-    int w = v % period;
-    return w < 0 ? w + period : w;
-  };
-  return mod(h.q) + period * mod(h.r);
-}
-
 }  // namespace manetcap::geom

@@ -49,12 +49,6 @@ class HexGrid {
   /// tiling one cluster disk.
   std::vector<Hex> cells_within(double radius) const;
 
-  /// TDMA color in [0, period²): cells sharing a color are ≥ period cells
-  /// apart on each axis, hence spatially separated by Θ(period·side) and
-  /// non-interfering for a suitable constant period (Theorem 9 relies on
-  /// bounded-degree vertex coloring; this is the standard explicit one).
-  int tdma_color(Hex h, int period) const;
-
  private:
   double side_;
 };

@@ -1,8 +1,6 @@
 #include "linkcap/measure.h"
 
-#include <algorithm>
 #include <cmath>
-#include <map>
 
 #include "util/check.h"
 
@@ -81,34 +79,6 @@ std::vector<double> measure_busy_probability(
   std::vector<double> out(pop);
   for (std::size_t i = 0; i < pop; ++i)
     out[i] = static_cast<double>(busy[i]) / static_cast<double>(slots);
-  return out;
-}
-
-std::vector<double> measure_pair_capacity(
-    mobility::MobilityProcess& process,
-    const std::vector<geom::Point>& bs_pos,
-    const sched::SStarScheduler& sstar,
-    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& pairs,
-    std::size_t slots, const phy::InterferenceModel* model) {
-  MANETCAP_CHECK(slots > 0);
-  // Canonicalize (lo, hi) for lookup against the scheduler's i<j output.
-  std::map<std::pair<std::uint32_t, std::uint32_t>, std::size_t> index;
-  for (std::size_t p = 0; p < pairs.size(); ++p) {
-    auto key = std::minmax(pairs[p].first, pairs[p].second);
-    index[{key.first, key.second}] = p;
-  }
-  std::vector<std::size_t> hits(pairs.size(), 0);
-  for (std::size_t t = 0; t < slots; ++t) {
-    auto pos = combined_positions(process, bs_pos);
-    for (const auto& tr : sstar.feasible_pairs(pos, nullptr, model)) {
-      auto it = index.find({tr.tx, tr.rx});
-      if (it != index.end()) ++hits[it->second];
-    }
-    process.step();
-  }
-  std::vector<double> out(pairs.size());
-  for (std::size_t p = 0; p < pairs.size(); ++p)
-    out[p] = static_cast<double>(hits[p]) / static_cast<double>(slots);
   return out;
 }
 

@@ -6,7 +6,7 @@
 //  * per-slot S* pair statistics over a real mobility process.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <vector>
 
 #include "mobility/process.h"
@@ -50,15 +50,5 @@ std::vector<double> measure_busy_probability(
     const std::vector<geom::Point>& bs_pos,
     const sched::SStarScheduler& sstar, std::size_t slots,
     const phy::InterferenceModel* model = nullptr);
-
-/// Measures the S* link capacity μ(i, j) (fraction of slots the specific
-/// pair is feasible) for selected pairs, over `slots` steps of `process`.
-/// `pairs` index into the combined MS+BS population. `model` as above.
-std::vector<double> measure_pair_capacity(
-    mobility::MobilityProcess& process,
-    const std::vector<geom::Point>& bs_pos,
-    const sched::SStarScheduler& sstar,
-    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& pairs,
-    std::size_t slots, const phy::InterferenceModel* model = nullptr);
 
 }  // namespace manetcap::linkcap

@@ -1,11 +1,11 @@
 // Umbrella header: the whole manetcap public API in one include.
 //
 // Layering (bottom to top):
-//   util      — checks, tables, CSV, flags, logging
+//   util      — checks, tables, CSV, flags, thread pool
 //   geom/rng  — torus geometry, tessellations, spatial hash; PRNG
 //   mobility  — s(d) shapes, clustered home-points, mobility processes
 //   net       — scaling parameters, network instances, traffic
-//   phy/sched — protocol interference model; S*, TDMA, greedy schedulers
+//   phy/sched — protocol interference model; the S* scheduler
 //   linkcap   — link capacity μ(i,j), analytic + Monte-Carlo
 //   backbone  — wired BS graph load ledgers
 //   routing   — schemes A/B/C, L-max-hop, two-hop, static multihop
@@ -48,9 +48,7 @@
 #include "routing/static_multihop.h" // IWYU pragma: export
 #include "routing/two_hop.h"         // IWYU pragma: export
 #include "rng/rng.h"                 // IWYU pragma: export
-#include "sched/greedy.h"            // IWYU pragma: export
 #include "sched/sstar.h"             // IWYU pragma: export
-#include "sched/tdma_cell.h"         // IWYU pragma: export
 #include "sim/fluid.h"               // IWYU pragma: export
 #include "sim/slotsim.h"             // IWYU pragma: export
 #include "sim/sweep.h"               // IWYU pragma: export

@@ -30,6 +30,11 @@ EngineKind parse_engine(const std::string& s) {
                            " (expected fluid|slots|auto)");
 }
 
+EngineKind resolve_engine(EngineKind kind, std::size_t n) {
+  if (kind != EngineKind::kAuto) return kind;
+  return n < 1024 ? EngineKind::kSlots : EngineKind::kFluid;
+}
+
 net::BsPlacement engine_placement(const net::ScalingParams& params,
                                   bool scheme_c, net::BsPlacement base) {
   if (!params.with_bs) return net::BsPlacement::kUniform;
@@ -89,10 +94,7 @@ FlowSimResult run_flow_sim_derated(
 
 double measure_instance(EngineKind kind, const EvalContext& ctx,
                         const EngineOptions& opt) {
-  if (kind == EngineKind::kAuto) {
-    kind = ctx.params.n < opt.auto_threshold ? EngineKind::kSlots
-                                             : EngineKind::kFluid;
-  }
+  kind = resolve_engine(kind, ctx.params.n);
   Scheme scheme = select_scheme(ctx.params);
   // The packet engine has no static multihop; pure ad hoc networks run
   // scheme A there regardless of regime.

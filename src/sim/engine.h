@@ -23,13 +23,19 @@ namespace manetcap::sim {
 enum class EngineKind {
   kFluid,  // flow-level FlowSim (run_flow_sim)
   kSlots,  // packet-level SlotSim (run_slot_sim)
-  kAuto,   // slots below EngineOptions::auto_threshold MSs, fluid at/above
+  kAuto,   // resolve_engine: slots below 1024 MSs, fluid at/above
 };
 
 std::string to_string(EngineKind k);
 
 /// Parses "fluid" | "slots" | "auto"; throws std::runtime_error otherwise.
 EngineKind parse_engine(const std::string& s);
+
+/// The engine that runs an instance of `n` MSs: kAuto picks SlotSim below
+/// 1024 MSs and FlowSim at or above — small instances are cheap enough for
+/// packet-level fidelity, large ones need the flow engine's O(flows)
+/// slot-epochs. kFluid and kSlots are returned unchanged.
+EngineKind resolve_engine(EngineKind kind, std::size_t n);
 
 /// Orchestration options. The shared (slots, warmup, phy, sinr) quartet
 /// lives in the RunConfig base (sim/run_config.h); the engine defaults
@@ -47,10 +53,6 @@ struct EngineOptions : RunConfig {
 
   mobility::ShapeKind shape = mobility::ShapeKind::kUniformDisk;
   net::BsPlacement placement = net::BsPlacement::kClusteredMatched;
-  /// kAuto crossover: SlotSim below this many MSs, FlowSim at or above —
-  /// small instances are cheap enough for packet-level fidelity, large
-  /// ones need the flow engine's O(flows) slot-epochs.
-  std::size_t auto_threshold = 1024;
   /// Traffic scenario both engines draw their demand set from
   /// (net/traffic.h). The default spec is the paper's uniform-permutation
   /// CBR and takes the historical code path exactly.
@@ -89,7 +91,7 @@ net::BsPlacement engine_placement(const net::ScalingParams& params,
 /// Builds the instance for `ctx` and measures its mean per-flow rate
 /// (packets/slot) under the chosen engine, with the regime's scheme
 /// (select_scheme; the strong hybrid sums A and B on the fluid engine).
-/// kAuto resolves per instance from ctx.params.n. ctx.metrics (when set)
+/// kAuto resolves per instance (resolve_engine). ctx.metrics (when set)
 /// receives the engine's audit counters.
 double measure_instance(EngineKind kind, const EvalContext& ctx,
                         const EngineOptions& opt);

@@ -14,6 +14,9 @@ namespace manetcap::sim {
 
 namespace {
 
+// Rate/credit update granularity, in slots.
+constexpr std::size_t kEpochSlots = 64;
+
 template <class T>
 std::uint64_t vec_bytes(const std::vector<T>& v) {
   return v.capacity() * sizeof(T);
@@ -91,8 +94,6 @@ FlowSimResult run_flow_sim_impl(const net::Network& net,
   MANETCAP_CHECK_MSG(opt.warmup < opt.slots,
                      "FlowSimOptions: warmup (" << opt.warmup
                          << ") must be < slots (" << opt.slots << ")");
-  MANETCAP_CHECK_MSG(opt.epoch_slots >= 1,
-                     "FlowSimOptions: epoch_slots must be >= 1");
 
   // Churn timeline: the fluid engine takes leave/join only. Liveness is
   // piecewise constant over epochs (boundaries are clamped to churn
@@ -211,7 +212,7 @@ FlowSimResult run_flow_sim_impl(const net::Network& net,
   std::size_t next_churn = 0;
   std::size_t t0 = 0;
   while (t0 < opt.slots) {
-    std::size_t t1 = std::min(opt.slots, t0 + opt.epoch_slots);
+    std::size_t t1 = std::min(opt.slots, t0 + kEpochSlots);
     if (t0 < opt.warmup && opt.warmup < t1) t1 = opt.warmup;
     // Apply churn transitions due at the start of t0, then clamp the
     // epoch so no transition falls strictly inside it — liveness is

@@ -33,7 +33,6 @@ struct FlowSimOptions {
   Scheme scheme = Scheme::kSchemeA;
   std::size_t slots = 4000;   // simulated horizon, in SlotSim slots
   std::size_t warmup = 400;   // rate measurement starts here
-  std::size_t epoch_slots = 64;  // rate/credit update granularity
   /// Water-filling rounds after the initial TDMA share (0 = pure TDMA —
   /// then min over served flows of the allocated rate equals the
   /// constraint solver's λ exactly).

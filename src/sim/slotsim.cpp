@@ -8,7 +8,6 @@
 
 #include "analysis/stats.h"
 #include "geom/spatial_hash.h"
-#include "geom/tessellation.h"
 #include "linkcap/link_capacity.h"
 #include "mobility/process.h"
 #include "sched/sstar.h"
@@ -79,6 +78,15 @@ void validate_options(const SlotSimOptions& opt) {
                      "SlotSimOptions: source_backlog must fit in 32 bits "
                      "(per-flow windows are uint32)");
   MANETCAP_CHECK_MSG(opt.shards >= 1, "SlotSimOptions: shards must be >= 1");
+  // Stripes partition spatial-hash bucket rows, of which there are at most
+  // kMaxGridSide; the bound also keeps shards + 1 and the stripe bounds
+  // g·s/shards far from overflow.
+  MANETCAP_CHECK_MSG(
+      opt.shards <= static_cast<std::size_t>(geom::SpatialHash::kMaxGridSide),
+      "SlotSimOptions: shards must be <= "
+          << geom::SpatialHash::kMaxGridSide
+          << " (stripes partition spatial-hash bucket rows), got "
+          << opt.shards);
   MANETCAP_CHECK_MSG(opt.checkpoint_every == 0 || !opt.checkpoint_path.empty(),
                      "SlotSimOptions: checkpoint_every requires a "
                      "checkpoint_path");
@@ -475,7 +483,6 @@ class SlotSim {
   // --- scheme A ------------------------------------------------------------
   void init_scheme_a() {
     SchemeARouteTables t = build_scheme_a_tables(net_, dest_);
-    tess_ = std::make_unique<geom::SquareTessellation>(t.tess);
     home_cell_ = std::move(t.home_cell);
     path_start_ = std::move(t.path_start);
     path_cells_ = std::move(t.path_cells);
@@ -1543,7 +1550,6 @@ class SlotSim {
 
   // Scheme A state (paths in CSR: flow s's squarelet path is
   // path_cells_[path_start_[s] .. path_start_[s+1])).
-  std::unique_ptr<geom::SquareTessellation> tess_;
   std::vector<std::uint32_t> home_cell_;
   std::vector<std::uint32_t> path_start_;
   std::vector<std::uint32_t> path_cells_;

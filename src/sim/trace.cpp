@@ -927,8 +927,7 @@ TraceVerdict verify_trace(const Trace& trace,
   if (num_threads <= 1 || n <= 1) {
     for (std::size_t f = 0; f < n; ++f) check_one(f);
   } else {
-    util::ThreadPool pool(std::min<std::size_t>(num_threads, n));
-    pool.for_each_index(n, check_one);
+    util::ThreadPool::shared().parallel_for(n, check_one, num_threads);
   }
   for (auto& fv : flow_violations)
     for (auto& v : fv) verdict.violations.push_back(std::move(v));

@@ -81,6 +81,14 @@ long Flags::get_int(const std::string& name, long def) const {
   }
 }
 
+std::size_t Flags::get_count(const std::string& name,
+                             std::size_t def) const {
+  if (!has(name)) return def;
+  const long v = get_int(name, 0);
+  if (v < 0) bad_value(name, values_.at(name));
+  return static_cast<std::size_t>(v);
+}
+
 double Flags::get_double(const std::string& name, double def) const {
   auto it = values_.find(name);
   if (it == values_.end()) return def;

@@ -4,6 +4,7 @@
 // unknown flag is an error so typos surface immediately.
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <optional>
 #include <string>
@@ -29,6 +30,9 @@ class Flags {
   std::string get_string(const std::string& name,
                          const std::string& def) const;
   long get_int(const std::string& name, long def) const;
+  /// A size or count: get_int, with a negative value rejected by the same
+  /// "bad value for --<name>" error rather than wrapped to a huge size.
+  std::size_t get_count(const std::string& name, std::size_t def) const;
   double get_double(const std::string& name, double def) const;
   bool get_bool(const std::string& name, bool def) const;
 

@@ -2,25 +2,40 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstdlib>
-#include <string>
+#include <exception>
+#include <string_view>
 #include <utility>
 
 #include "util/check.h"
 
 namespace manetcap::util {
 
+namespace {
+// Upper bound on MANETCAP_THREADS: a typo such as 100000 must not start
+// that many workers when the shared pool is first used.
+constexpr long kMaxEnvThreads = 1024;
+}  // namespace
+
 ThreadPool::ThreadPool(std::size_t num_threads) {
   if (num_threads == 0) num_threads = default_num_threads();
   workers_.reserve(num_threads);
-  for (std::size_t i = 0; i < num_threads; ++i)
-    workers_.emplace_back([this] { worker_loop(); });
+  try {
+    for (std::size_t i = 0; i < num_threads; ++i)
+      workers_.emplace_back([this] { worker_loop(); });
+  } catch (...) {
+    // Destroying a joinable std::thread ends the process.
+    join_workers();
+    throw;
+  }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { join_workers(); }
+
+void ThreadPool::join_workers() {
   {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_idle_.wait(lock, [this] { return in_flight_ == 0; });
+    std::lock_guard<std::mutex> lock(mu_);
     shutdown_ = true;
   }
   cv_work_.notify_all();
@@ -28,29 +43,12 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::submit(std::function<void()> task) {
-  MANETCAP_CHECK(task != nullptr);
   {
     std::lock_guard<std::mutex> lock(mu_);
     MANETCAP_CHECK(!shutdown_);
-    queue_.push_back({std::move(task), next_sequence_++});
-    ++in_flight_;
+    queue_.push_back(std::move(task));
   }
   cv_work_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_idle_.wait(lock, [this] { return in_flight_ == 0; });
-  if (first_error_) {
-    std::exception_ptr err = std::exchange(first_error_, nullptr);
-    std::rethrow_exception(err);
-  }
-}
-
-void ThreadPool::for_each_index(std::size_t count,
-                                const std::function<void(std::size_t)>& fn) {
-  for (std::size_t i = 0; i < count; ++i) submit([&fn, i] { fn(i); });
-  wait_idle();
 }
 
 void ThreadPool::parallel_for(std::size_t count,
@@ -71,6 +69,7 @@ void ThreadPool::parallel_for(std::size_t count,
     std::size_t first_error_index = 0;
   } group;
 
+  // Catches every exception of fn, so none leaves a worker.
   const auto drain = [&] {
     for (;;) {
       const std::size_t i = group.next.fetch_add(1);
@@ -94,36 +93,53 @@ void ThreadPool::parallel_for(std::size_t count,
     std::lock_guard<std::mutex> lock(group.mu);
     group.running = runners;
   }
-  for (std::size_t r = 1; r < runners; ++r)
-    submit([&group, &drain] {
-      drain();
-      std::lock_guard<std::mutex> lock(group.mu);
-      if (--group.running == 0) group.cv.notify_all();
-    });
+  // A failed submit leaves fewer runners; the caller's drain still runs
+  // every index, and the failure is rethrown once the queued runners end.
+  std::size_t queued = 1;  // the calling thread
+  std::exception_ptr submit_error;
+  try {
+    for (; queued < runners; ++queued)
+      submit([&group, &drain] {
+        drain();
+        std::lock_guard<std::mutex> lock(group.mu);
+        if (--group.running == 0) group.cv.notify_all();
+      });
+  } catch (...) {
+    submit_error = std::current_exception();
+  }
   drain();
   std::unique_lock<std::mutex> lock(group.mu);
-  --group.running;
+  group.running -= runners - queued + 1;  // the caller and unqueued runners
   group.cv.wait(lock, [&group] { return group.running == 0; });
   if (group.first_error) std::rethrow_exception(group.first_error);
+  if (submit_error) std::rethrow_exception(submit_error);
 }
 
 ThreadPool& ThreadPool::shared() {
-  static ThreadPool pool(default_num_threads());
-  return pool;
+  static ThreadPool instance(default_num_threads());
+  return instance;
 }
 
 std::size_t ThreadPool::default_num_threads() {
-  if (const char* env = std::getenv("MANETCAP_THREADS")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v > 0) return static_cast<std::size_t>(v);
-  }
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<std::size_t>(hw);
+  const std::size_t all_cores = hw == 0 ? 1 : static_cast<std::size_t>(hw);
+  const char* env = std::getenv("MANETCAP_THREADS");
+  if (env == nullptr) return all_cores;
+  const std::string_view text(env);
+  long v = -1;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), v);
+  MANETCAP_CHECK_MSG(ec == std::errc() && end == text.data() + text.size() &&
+                         v >= 0 && v <= kMaxEnvThreads,
+                     "MANETCAP_THREADS must be 0 (all cores) or an integer "
+                     "in [1, " << kMaxEnvThreads << "], got '" << text
+                               << "'");
+  return v == 0 ? all_cores : static_cast<std::size_t>(v);
 }
 
 void ThreadPool::worker_loop() {
   for (;;) {
-    Task task;
+    std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_work_.wait(lock, [this] { return shutdown_ || !queue_.empty(); });
@@ -131,21 +147,7 @@ void ThreadPool::worker_loop() {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-    std::exception_ptr err;
-    try {
-      task.fn();
-    } catch (...) {
-      err = std::current_exception();
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (err && (!first_error_ || task.sequence < first_error_sequence_)) {
-        first_error_ = err;
-        first_error_sequence_ = task.sequence;
-      }
-      --in_flight_;
-      if (in_flight_ == 0) cv_idle_.notify_all();
-    }
+    task();
   }
 }
 

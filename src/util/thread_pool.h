@@ -10,9 +10,7 @@
 
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -22,10 +20,13 @@ namespace manetcap::util {
 
 class ThreadPool {
  public:
-  /// Spawns `num_threads` workers; 0 means default_num_threads().
+  /// Spawns `num_threads` workers; 0 means default_num_threads(). If a
+  /// worker fails to start, the ones already started are joined and the
+  /// error is rethrown.
   explicit ThreadPool(std::size_t num_threads = 0);
 
-  /// Drains the queue (waits for every submitted task) and joins workers.
+  /// Joins the workers. No task is pending then: parallel_for returns only
+  /// after every runner it queued has run.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -33,33 +34,19 @@ class ThreadPool {
 
   std::size_t size() const { return workers_.size(); }
 
-  /// Enqueues a task. Tasks are dequeued FIFO, i.e. they begin executing
-  /// in submission order (completion order is up to the scheduler).
-  void submit(std::function<void()> task);
-
-  /// Blocks until every submitted task has finished. If any task threw,
-  /// rethrows the exception of the earliest-submitted failing task and
-  /// clears the stored exception.
-  void wait_idle();
-
-  /// Runs fn(0), …, fn(count-1) across the pool and blocks until all
-  /// complete. Every index runs even if an earlier one throws; afterwards
-  /// the exception of the lowest failing index is rethrown, so error
-  /// reporting does not depend on thread timing. A pool of size 1 executes
-  /// the indices in order on a single worker.
-  void for_each_index(std::size_t count,
-                      const std::function<void(std::size_t)>& fn);
-
   /// Group-scoped fan-out: runs fn(0), …, fn(count-1) with at most `width`
   /// indices executing concurrently (0 = no extra cap beyond the pool),
-  /// and blocks until exactly these indices finish — unlike wait_idle(),
-  /// which waits for everything in the pool, so concurrent parallel_for
-  /// groups (from different callers sharing one pool) cannot observe each
-  /// other. The calling thread participates as one of the runners, so a
-  /// shared pool of W workers sustains W+1-wide groups and a fan-out on a
-  /// fully busy pool still makes progress on the caller. Error contract
-  /// matches for_each_index: every index runs; the exception of the lowest
-  /// failing index is rethrown.
+  /// and blocks until exactly these indices finish, so concurrent groups
+  /// (from different callers sharing one pool) cannot observe each other.
+  /// The calling thread participates as one of the runners, so a pool of
+  /// W workers sustains W+1-wide groups and a fan-out on a fully busy pool
+  /// still makes progress on the caller. Every index runs even if another
+  /// throws; afterwards the exception of the lowest failing index is
+  /// rethrown, so error reporting does not depend on thread timing.
+  ///
+  /// Do not call parallel_for from inside a task of a group that can
+  /// occupy every worker: the nested caller waits for runners queued behind
+  /// busy workers, and nothing runs them.
   void parallel_for(std::size_t count,
                     const std::function<void(std::size_t)>& fn,
                     std::size_t width = 0);
@@ -67,30 +54,26 @@ class ThreadPool {
   /// Process-wide persistent pool (default_num_threads() workers, created
   /// on first use). Callers that fan out repeatedly — run_sweep above all —
   /// share these workers instead of paying thread creation and teardown
-  /// per call. Use parallel_for (never wait_idle) on the shared pool.
+  /// per call.
   static ThreadPool& shared();
 
-  /// Worker count to use when the caller does not care: the MANETCAP_THREADS
-  /// environment variable if set to a positive integer, otherwise
-  /// std::thread::hardware_concurrency() (minimum 1).
+  /// Worker count to use when the caller does not care: the
+  /// MANETCAP_THREADS environment variable if set to an integer in
+  /// [1, 1024], otherwise std::thread::hardware_concurrency() (minimum 1).
+  /// MANETCAP_THREADS=0 also means all cores; any other value throws a
+  /// CheckError that names the variable.
   static std::size_t default_num_threads();
 
  private:
-  struct Task {
-    std::function<void()> fn;
-    std::uint64_t sequence = 0;
-  };
-
+  /// Queues one of parallel_for's runners; tasks are dequeued FIFO.
+  void submit(std::function<void()> task);
   void worker_loop();
+  /// Sets shutdown_ and joins every started worker.
+  void join_workers();
 
   std::mutex mu_;
-  std::condition_variable cv_work_;   // queue became non-empty / shutdown
-  std::condition_variable cv_idle_;   // all tasks finished
-  std::deque<Task> queue_;
-  std::size_t in_flight_ = 0;         // queued + currently executing
-  std::uint64_t next_sequence_ = 0;
-  std::uint64_t first_error_sequence_ = 0;
-  std::exception_ptr first_error_;    // earliest-submitted failure
+  std::condition_variable cv_work_;  // queue became non-empty / shutdown
+  std::deque<std::function<void()>> queue_;
   bool shutdown_ = false;
   std::vector<std::thread> workers_;
 };

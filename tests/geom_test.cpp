@@ -213,32 +213,6 @@ TEST(HexGrid, CellsWithinCoversDiskArea) {
   EXPECT_NEAR(static_cast<double>(cells.size()), expect, expect * 0.15);
 }
 
-TEST(HexGrid, TdmaColorRange) {
-  HexGrid grid(0.1);
-  const int period = 3;
-  for (int q = -5; q <= 5; ++q) {
-    for (int r = -5; r <= 5; ++r) {
-      int c = grid.tdma_color({q, r}, period);
-      EXPECT_GE(c, 0);
-      EXPECT_LT(c, period * period);
-    }
-  }
-}
-
-TEST(HexGrid, SameColorCellsAreFar) {
-  HexGrid grid(0.01);
-  const int period = 4;
-  Hex a{0, 0};
-  const int color = grid.tdma_color(a, period);
-  for (int q = -8; q <= 8; ++q) {
-    for (int r = -8; r <= 8; ++r) {
-      Hex b{q, r};
-      if (b == a || grid.tdma_color(b, period) != color) continue;
-      EXPECT_GE(grid.distance(a, b), period);
-    }
-  }
-}
-
 // --------------------------------------------------------- spatial hash --
 
 TEST(SpatialHash, FindsExactDiskMembers) {

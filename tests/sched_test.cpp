@@ -7,10 +7,7 @@
 #include "mobility/home_points.h"
 #include "phy/protocol_model.h"
 #include "rng/rng.h"
-#include "sched/greedy.h"
 #include "sched/sstar.h"
-#include "sched/tdma_cell.h"
-#include "util/check.h"
 #include "util/thread_pool.h"
 
 namespace manetcap::sched {
@@ -109,107 +106,6 @@ TEST(SStar, PrebuiltHashGivesSameResult) {
     EXPECT_EQ(a[i].tx, b[i].tx);
     EXPECT_EQ(a[i].rx, b[i].rx);
   }
-}
-
-// --------------------------------------------------------------- TDMA ----
-
-TEST(Tdma, ColorValidation) {
-  EXPECT_THROW(TdmaSchedule({0, 1, 5}, 4), manetcap::CheckError);
-  EXPECT_NO_THROW(TdmaSchedule({0, 1, 3}, 4));
-}
-
-TEST(Tdma, RoundRobinActivation) {
-  TdmaSchedule t({0, 1, 2, 0}, 3);
-  EXPECT_TRUE(t.is_active(0, 0));
-  EXPECT_FALSE(t.is_active(1, 0));
-  EXPECT_TRUE(t.is_active(1, 1));
-  EXPECT_TRUE(t.is_active(3, 3));  // cell 3 has color 0, slot 3 → color 0
-  EXPECT_DOUBLE_EQ(t.duty_cycle(), 1.0 / 3.0);
-}
-
-TEST(Tdma, EveryCellActiveOncePerPeriod) {
-  TdmaSchedule t({0, 1, 2, 3}, 4);
-  for (std::size_t cell = 0; cell < 4; ++cell) {
-    int active = 0;
-    for (std::uint64_t slot = 0; slot < 4; ++slot)
-      if (t.is_active(cell, slot)) ++active;
-    EXPECT_EQ(active, 1);
-  }
-}
-
-TEST(Tdma, SquareColoringPeriodCoversGuard) {
-  const double side = 0.1, range = 0.12, delta = 1.0;
-  const int p = square_coloring_period(side, range, delta);
-  // Same-color cells are (p-1)·side ≥ (2+Δ)·range apart.
-  EXPECT_GE((p - 1) * side, (2.0 + delta) * range);
-}
-
-TEST(Tdma, SquareColoringAssignsPeriodSquaredColors) {
-  geom::SquareTessellation tess(8);
-  auto colors = color_square_tessellation(tess, 2);
-  for (int c : colors) {
-    EXPECT_GE(c, 0);
-    EXPECT_LT(c, 4);
-  }
-  // Adjacent cells never share a color for period ≥ 2.
-  for (int idx = 0; idx < tess.num_cells(); ++idx) {
-    for (auto nb : tess.neighbors4(tess.cell_at(idx)))
-      EXPECT_NE(colors[idx], colors[tess.index_of(nb)]);
-  }
-}
-
-TEST(Tdma, HexPeriodPositive) {
-  EXPECT_GE(hex_coloring_period(0.01, 1.0), 2);
-  EXPECT_GT(hex_coloring_period(0.01, 3.0), hex_coloring_period(0.01, 0.0));
-}
-
-// -------------------------------------------------------------- greedy ----
-
-TEST(Greedy, SelectionIsProtocolFeasible) {
-  rng::Xoshiro256 g(17);
-  std::vector<geom::Point> pos(400);
-  for (auto& p : pos) p = rng::uniform_point(g);
-  GreedyScheduler sched(0.06, 1.0);
-  auto cands = sched.nearest_neighbor_candidates(pos);
-  auto chosen = sched.schedule(pos, cands);
-  phy::ProtocolModel pm(0.06, 1.0);
-  EXPECT_TRUE(pm.feasible(pos, chosen));
-  EXPECT_GT(chosen.size(), 0u);
-}
-
-TEST(Greedy, RespectsRange) {
-  GreedyScheduler sched(0.05, 1.0);
-  std::vector<geom::Point> pos = {{0.1, 0.1}, {0.4, 0.4}};
-  auto chosen = sched.schedule(pos, {{0, 1}});
-  EXPECT_TRUE(chosen.empty());
-}
-
-TEST(Greedy, PrefersShortLinks) {
-  GreedyScheduler sched(0.2, 1.0);
-  // Two candidate links sharing airspace; the shorter must win.
-  std::vector<geom::Point> pos = {
-      {0.10, 0.10}, {0.12, 0.10},   // short pair
-      {0.20, 0.10}, {0.35, 0.10}};  // long pair, receiver inside guard
-  auto chosen = sched.schedule(pos, {{2, 3}, {0, 1}});
-  ASSERT_EQ(chosen.size(), 1u);
-  EXPECT_EQ(chosen[0].tx, 0u);
-}
-
-TEST(Greedy, NodesUsedAtMostOnce) {
-  GreedyScheduler sched(0.3, 0.0);
-  std::vector<geom::Point> pos = {{0.1, 0.1}, {0.15, 0.1}, {0.2, 0.1}};
-  auto chosen = sched.schedule(pos, {{0, 1}, {1, 2}});
-  EXPECT_EQ(chosen.size(), 1u);
-}
-
-TEST(Greedy, NearestNeighborCandidatesCoverNodes) {
-  rng::Xoshiro256 g(23);
-  std::vector<geom::Point> pos(100);
-  for (auto& p : pos) p = rng::uniform_point(g);
-  GreedyScheduler sched(0.3, 1.0);
-  auto cands = sched.nearest_neighbor_candidates(pos);
-  EXPECT_GE(cands.size(), 50u);  // at least one per mutual pair
-  for (const auto& c : cands) EXPECT_NE(c.tx, c.rx);
 }
 
 // ------------------------------------- S* / protocol-model consistency ----

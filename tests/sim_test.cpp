@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -665,6 +666,12 @@ TEST(SlotSimValidation, EachBadOptionThrowsItsNamedError) {
   opt = {};
   opt.source_backlog = 0;
   expect_error(opt, "source_backlog must be >= 1");
+  opt = {};
+  opt.shards = 4097;
+  expect_error(opt, "shards must be <= 4096");
+  opt = {};
+  opt.shards = std::numeric_limits<std::size_t>::max();
+  expect_error(opt, "shards must be <= 4096");
 }
 
 // --------------------------------- SoA simulator vs frozen reference --

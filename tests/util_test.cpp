@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -12,7 +13,6 @@
 #include "util/check.h"
 #include "util/csv.h"
 #include "util/flags.h"
-#include "util/log.h"
 #include "util/spec.h"
 #include "util/stopwatch.h"
 #include "util/table.h"
@@ -228,6 +228,22 @@ TEST(Flags, OutOfRangeIntRejected) {
   EXPECT_THROW(f.get_int("n", 0), std::runtime_error);
 }
 
+// A negative count must not wrap to a huge std::size_t: `--shards -1`
+// once reached the simulator as SIZE_MAX and ran no shard at all.
+TEST(Flags, NegativeCountRejectedWithNamedError) {
+  const char* argv[] = {"prog", "--shards", "-1", "--n=0", "--slots=300"};
+  util::Flags f(5, argv, {"shards", "n", "slots", "count"});
+  try {
+    f.get_count("shards", 1);
+    FAIL() << "expected throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "bad value for --shards: -1");
+  }
+  EXPECT_EQ(f.get_count("n", 7), 0u);
+  EXPECT_EQ(f.get_count("slots", 7), 300u);
+  EXPECT_EQ(f.get_count("count", 7), 7u);
+}
+
 // stod parses "nan"/"inf" into values that poison every downstream
 // comparison without ever tripping a range check; get_double must reject
 // them with the same `bad value for --<name>: <value>` shape as any other
@@ -256,62 +272,96 @@ TEST(Flags, NonFiniteDoubleRejectedWithNamedError) {
 
 // ---------------------------------------------------------- thread pool --
 
-TEST(ThreadPool, ExecutesEveryIndexExactlyOnce) {
-  util::ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
-  std::vector<std::atomic<int>> hits(257);
-  pool.for_each_index(hits.size(), [&hits](std::size_t i) { ++hits[i]; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, SingleWorkerPreservesSubmissionOrder) {
-  // One worker + FIFO queue: execution order equals submission order.
-  util::ThreadPool pool(1);
-  std::vector<int> order;
-  for (int i = 0; i < 64; ++i)
-    pool.submit([&order, i] { order.push_back(i); });
-  pool.wait_idle();
-  ASSERT_EQ(order.size(), 64u);
-  for (int i = 0; i < 64; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
-}
-
-TEST(ThreadPool, PropagatesEarliestException) {
-  util::ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(32);
-  try {
-    pool.for_each_index(hits.size(), [&hits](std::size_t i) {
-      ++hits[i];
-      if (i == 5 || i == 20)
-        throw std::runtime_error("task " + std::to_string(i));
-    });
-    FAIL() << "expected throw";
-  } catch (const std::runtime_error& e) {
-    // Deterministically the lowest failing index, not whichever thread
-    // happened to fail first.
-    EXPECT_STREQ(e.what(), "task 5");
-  }
-  // Every index still ran — one failure does not cancel the fan-out.
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, WaitIdleClearsStoredException) {
-  util::ThreadPool pool(2);
-  pool.submit([] { throw std::logic_error("boom"); });
-  EXPECT_THROW(pool.wait_idle(), std::logic_error);
-  EXPECT_NO_THROW(pool.wait_idle());
-}
-
 TEST(ThreadPool, DefaultThreadCountIsPositive) {
   EXPECT_GE(util::ThreadPool::default_num_threads(), 1u);
+
+  // MANETCAP_THREADS is outside input: 0 means all cores, [1, 1024] is
+  // taken as given, anything else is a named error. Only the parse runs
+  // here; no pool is built, so no thread starts.
+  const char* saved = std::getenv("MANETCAP_THREADS");
+  const std::string restore = saved != nullptr ? saved : "";
+  const unsigned hw = std::thread::hardware_concurrency();
+  const std::size_t all_cores = hw == 0 ? 1 : hw;
+  ::setenv("MANETCAP_THREADS", "4", 1);
+  EXPECT_EQ(util::ThreadPool::default_num_threads(), 4u);
+  ::setenv("MANETCAP_THREADS", "1024", 1);
+  EXPECT_EQ(util::ThreadPool::default_num_threads(), 1024u);
+  ::setenv("MANETCAP_THREADS", "0", 1);
+  EXPECT_EQ(util::ThreadPool::default_num_threads(), all_cores);
+  for (const char* bad : {"4x", "-2", "1025"}) {
+    ::setenv("MANETCAP_THREADS", bad, 1);
+    try {
+      util::ThreadPool::default_num_threads();
+      ADD_FAILURE() << "expected throw for " << bad;
+    } catch (const CheckError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("MANETCAP_THREADS"), std::string::npos) << bad;
+      EXPECT_NE(what.find(bad), std::string::npos) << bad;
+    }
+  }
+  if (saved != nullptr)
+    ::setenv("MANETCAP_THREADS", restore.c_str(), 1);
+  else
+    ::unsetenv("MANETCAP_THREADS");
 }
 
 TEST(ThreadPool, ParallelForExecutesEveryIndexExactlyOnce) {
   util::ThreadPool pool(4);
+  EXPECT_EQ(pool.size(), 4u);
   std::vector<std::atomic<int>> hits(257);
   pool.parallel_for(hits.size(), [&hits](std::size_t i) { ++hits[i]; });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
   // Zero-count fan-out is a no-op, not a hang.
   pool.parallel_for(0, [](std::size_t) { FAIL() << "must not run"; });
+}
+
+TEST(ThreadPool, ExecutesEveryIndexExactlyOnce) {
+  // Every index runs once whatever the shape of the group: a single-worker
+  // pool and a wider one, a width of 1 (the caller alone), widths below and
+  // above the pool's W+1 runners, and counts below and above the runner
+  // count.
+  for (const std::size_t workers : std::vector<std::size_t>{1, 3}) {
+    util::ThreadPool pool(workers);
+    for (const std::size_t width : std::vector<std::size_t>{0, 1, 2, 4, 64}) {
+      for (const std::size_t count : std::vector<std::size_t>{1, 3, 5, 100}) {
+        std::vector<std::atomic<int>> hits(count);
+        pool.parallel_for(
+            count, [&hits](std::size_t i) { ++hits[i]; }, width);
+        for (const auto& h : hits)
+          EXPECT_EQ(h.load(), 1) << "workers " << workers << " width "
+                                 << width << " count " << count;
+      }
+    }
+  }
+}
+
+TEST(ThreadPool, PropagatesEarliestException) {
+  // The lowest failing index wins even when a higher one fails first in
+  // time, and its exception keeps its type: index 0 waits (at most 5 s, so
+  // a slow host cannot hang the test) until index 5 has thrown, then throws
+  // a different type.
+  util::ThreadPool pool(4);
+  std::atomic<bool> five_failed{false};
+  try {
+    pool.parallel_for(16, [&five_failed](std::size_t i) {
+      if (i == 5) {
+        five_failed = true;
+        throw std::runtime_error("task 5");
+      }
+      if (i == 0) {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        while (!five_failed && std::chrono::steady_clock::now() < deadline)
+          std::this_thread::yield();
+        throw std::logic_error("task 0");
+      }
+    });
+    FAIL() << "expected throw";
+  } catch (const std::logic_error& e) {
+    EXPECT_STREQ(e.what(), "task 0");
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "rethrew '" << e.what() << "' instead of task 0";
+  }
 }
 
 TEST(ThreadPool, ParallelForRespectsWidthCap) {
@@ -386,17 +436,6 @@ TEST(Stopwatch, MeasuresNonNegativeTime) {
   EXPECT_GE(sw.seconds(), 0.0);
   sw.reset();
   EXPECT_GE(sw.millis(), 0.0);
-}
-
-// ------------------------------------------------------------------ log --
-
-TEST(Log, ThresholdSuppressesLowerLevels) {
-  util::set_log_level(util::LogLevel::kError);
-  // Nothing to assert on stderr portably; exercise the paths.
-  MANETCAP_LOG(kInfo) << "suppressed";
-  MANETCAP_LOG(kError) << "emitted";
-  util::set_log_level(util::LogLevel::kInfo);
-  EXPECT_EQ(util::log_level(), util::LogLevel::kInfo);
 }
 
 // ----------------------------------------------------------------- spec --

@@ -213,7 +213,7 @@ void usage() {
 
 net::ScalingParams params_from(const util::Flags& f) {
   net::ScalingParams p;
-  p.n = static_cast<std::size_t>(f.get_int("n", 4096));
+  p.n = f.get_count("n", 4096);
   p.alpha = f.get_double("alpha", 0.3);
   p.with_bs = !f.get_bool("no-bs", false);
   p.K = f.get_double("K", 0.7);
@@ -303,17 +303,15 @@ int cmd_capacity(const util::Flags& f) {
 
 int cmd_sweep(const util::Flags& f) {
   net::ScalingParams p = params_from(f);
-  const auto sizes = sim::geometric_sizes(
-      static_cast<std::size_t>(f.get_int("n0", 2048)),
-      f.get_double("ratio", 2.0),
-      static_cast<std::size_t>(f.get_int("count", 4)));
-  const auto trials = static_cast<std::size_t>(f.get_int("trials", 2));
+  const auto sizes =
+      sim::geometric_sizes(f.get_count("n0", 2048), f.get_double("ratio", 2.0),
+                           f.get_count("count", 4));
+  const auto trials = f.get_count("trials", 2);
   const auto engine = sim::parse_engine(f.get_string("engine", "fluid"));
   sim::EngineOptions eopt;
   eopt.placement = placement_from(f);
-  eopt.slots = static_cast<std::size_t>(f.get_int("slots", 2000));
-  eopt.warmup = static_cast<std::size_t>(f.get_int("warmup",
-                                                   eopt.slots / 10));
+  eopt.slots = f.get_count("slots", 2000);
+  eopt.warmup = f.get_count("warmup", eopt.slots / 10);
   eopt.phy = phy_from(f);
   eopt.sinr = sinr_from(f);
   if (eopt.phy != phy::PhyKind::kProtocol) eopt.sinr.validate();
@@ -325,7 +323,7 @@ int cmd_sweep(const util::Flags& f) {
   sopt.seed0 = static_cast<std::uint64_t>(f.get_int("seed", 1));
   // 0 = util::ThreadPool::default_num_threads(); per-trial seeds make the
   // result bit-identical for every thread count.
-  sopt.num_threads = static_cast<std::size_t>(f.get_int("threads", 0));
+  sopt.num_threads = f.get_count("threads", 0);
   auto sweep = sim::run_sweep(p, sizes, trials, eval, sopt);
 
   util::Table t({"n", "lambda (gm)", "min", "max"});
@@ -365,9 +363,8 @@ int cmd_simulate_fluid(const util::Flags& f, const net::ScalingParams& p) {
       !f.get_string("resume", "").empty())
     throw std::runtime_error("--checkpoint/--resume need --engine slots");
 
-  opt.slots = static_cast<std::size_t>(f.get_int("slots", 2000));
-  opt.warmup = static_cast<std::size_t>(f.get_int("warmup",
-                                                  opt.slots / 10));
+  opt.slots = f.get_count("slots", 2000);
+  opt.warmup = f.get_count("warmup", opt.slots / 10);
   opt.seed = static_cast<std::uint64_t>(f.get_int("seed", 1));
   opt.grouping = sim::bs_grouping(p);
 
@@ -462,11 +459,8 @@ int cmd_simulate_fluid(const util::Flags& f, const net::ScalingParams& p) {
 
 int cmd_simulate(const util::Flags& f) {
   net::ScalingParams p = params_from(f);
-  auto engine = sim::parse_engine(f.get_string("engine", "slots"));
-  if (engine == sim::EngineKind::kAuto)
-    engine = p.n < sim::EngineOptions{}.auto_threshold
-                 ? sim::EngineKind::kSlots
-                 : sim::EngineKind::kFluid;
+  const auto engine = sim::resolve_engine(
+      sim::parse_engine(f.get_string("engine", "slots")), p.n);
   if (engine == sim::EngineKind::kFluid) return cmd_simulate_fluid(f, p);
   sim::SlotSimOptions opt;
   opt.scheme = sim::parse_scheme(f.get_string("scheme", "A"));
@@ -483,16 +477,14 @@ int cmd_simulate(const util::Flags& f) {
   else
     throw std::runtime_error("unknown mobility: " + mob);
 
-  opt.slots = static_cast<std::size_t>(f.get_int("slots", 2000));
-  opt.warmup = static_cast<std::size_t>(f.get_int("warmup",
-                                                  opt.slots / 10));
+  opt.slots = f.get_count("slots", 2000);
+  opt.warmup = f.get_count("warmup", opt.slots / 10);
   opt.seed = static_cast<std::uint64_t>(f.get_int("seed", 1));
   opt.phy = phy_from(f);
   opt.sinr = sinr_from(f);
-  opt.shards = static_cast<std::size_t>(f.get_int("shards", 1));
+  opt.shards = f.get_count("shards", 1);
   opt.checkpoint_path = f.get_string("checkpoint", "");
-  opt.checkpoint_every =
-      static_cast<std::size_t>(f.get_int("checkpoint-every", 0));
+  opt.checkpoint_every = f.get_count("checkpoint-every", 0);
   opt.resume_path = f.get_string("resume", "");
 
   const std::string metrics_out = f.get_string("metrics-out", "");

@@ -74,8 +74,7 @@ int main(int argc, char** argv) {
                    "       trace_check --gen [--dir DIR]\n");
       return 2;
     }
-    return run_check(files,
-                     static_cast<std::size_t>(flags.get_int("threads", 1)));
+    return run_check(files, flags.get_count("threads", 1));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "trace_check: %s\n", e.what());
     return 2;
