@@ -11,10 +11,12 @@
 #include "routing/scheme_b.h"
 #include "rng/rng.h"
 #include "util/artifacts.h"
+#include "util/flags.h"
 #include "util/table.h"
 
-int main() {
+int run_program(int argc, char** argv) {
   using namespace manetcap;
+  util::Flags(argc, argv, {});  // takes no flags; rejects unknown ones
   std::cout << "=== phi ablation: the wired/wireless balance point ===\n"
             << "n = 8192, alpha = 0.3, K = 0.7, scheme B; mu_c = k*c = "
                "n^phi\n\n";
@@ -51,8 +53,8 @@ int main() {
                  util::fmt_sci(r.throughput.lambda, 6),
                  to_string(r.throughput.bottleneck)});
     t.add_row({util::fmt_double(phi, 3),
-               util::fmt_double(capacity::infrastructure_exponent(p.K, phi),
-                                3),
+               util::fmt_double(
+                   capacity::infrastructure_exponent(p.K, phi, 0.0), 3),
                util::fmt_sci(r.throughput.lambda, 3),
                to_string(r.throughput.bottleneck),
                lambda_at_zero > 0.0
@@ -100,4 +102,8 @@ int main() {
             << "phi = 0 (keep c(n) ~ 1/k, i.e. mu_c constant), not the\n"
             << "paper's prose claim of phi = 1 (see DESIGN.md).\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return manetcap::util::run_main(argc, argv, run_program);
 }

@@ -9,10 +9,12 @@
 #include "routing/scheme_b.h"
 #include "rng/rng.h"
 #include "sim/sweep.h"
+#include "util/flags.h"
 #include "util/table.h"
 
-int main() {
+int run_program(int argc, char** argv) {
   using namespace manetcap;
+  util::Flags(argc, argv, {});  // takes no flags; rejects unknown ones
   std::cout << "=== Theorem 6 ablation: BS placement invariance ===\n"
             << "strong regime (alpha = 0.3, K = 0.75, phi = 0), scheme B\n\n";
 
@@ -65,4 +67,8 @@ int main() {
             << util::fmt_double(hi / lo, 3)
             << " (Theorem 6 predicts a constant, i.e. order-1, gap)\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return manetcap::util::run_main(argc, argv, run_program);
 }

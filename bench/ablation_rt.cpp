@@ -10,6 +10,7 @@
 #include "mobility/process.h"
 #include "net/network.h"
 #include "sched/sstar.h"
+#include "util/flags.h"
 #include "util/table.h"
 
 namespace {
@@ -29,7 +30,8 @@ double pairs_per_slot(const net::Network& net, double ct, int slots) {
 
 }  // namespace
 
-int main() {
+int run_program(int argc, char** argv) {
+  util::Flags(argc, argv, {});  // takes no flags; rejects unknown ones
   std::cout << "=== Theorem 2 ablation: transmission range of policy S* ===\n";
 
   net::ScalingParams p;
@@ -76,4 +78,8 @@ int main() {
             << "spatial reuse, larger beta (shorter range) loses contacts\n"
             << "(Remark 6's critical-distance argument).\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return manetcap::util::run_main(argc, argv, run_program);
 }

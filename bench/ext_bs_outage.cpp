@@ -13,10 +13,12 @@
 #include "net/traffic.h"
 #include "routing/scheme_b.h"
 #include "rng/rng.h"
+#include "util/flags.h"
 #include "util/table.h"
 
-int main() {
+int run_program(int argc, char** argv) {
   using namespace manetcap;
+  util::Flags(argc, argv, {});  // takes no flags; rejects unknown ones
   std::cout << "=== extension: BS outage failure injection ===\n"
             << "n = 8192, alpha = 0.3, K = 0.75, phi = 0, scheme B\n\n";
 
@@ -90,4 +92,8 @@ int main() {
       << "the infrastructure outright and the worst covered flow halves —\n"
       << "the capacity laws are statements about balanced deployments.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return manetcap::util::run_main(argc, argv, run_program);
 }

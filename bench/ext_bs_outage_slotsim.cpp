@@ -49,7 +49,7 @@ OutageRun run_with_plan(const net::Network& net,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run_program(int argc, char** argv) {
   const util::Flags flags(argc, argv, {"smoke"});
   const bool smoke = flags.get_bool("smoke", false);
 
@@ -191,4 +191,8 @@ int main(int argc, char** argv) {
       << "inside run_slot_sim; the dropped column is exactly the queues\n"
       << "lost with dying BSs.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return manetcap::util::run_main(argc, argv, run_program);
 }

@@ -73,7 +73,7 @@ struct Spot {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run_program(int argc, char** argv) {
   const util::Flags flags(argc, argv, {"smoke", "check", "n0", "threads"});
   const bool smoke = flags.get_bool("smoke", false);
   const bool check = flags.get_bool("check", false);
@@ -286,4 +286,8 @@ int main(int argc, char** argv) {
             << (ok ? "all gates pass" : "violations above (not gated)")
             << "\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return manetcap::util::run_main(argc, argv, run_program);
 }

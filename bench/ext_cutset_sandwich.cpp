@@ -13,6 +13,7 @@
 #include "routing/scheme_a.h"
 #include "routing/scheme_b.h"
 #include "rng/rng.h"
+#include "util/flags.h"
 #include "util/table.h"
 
 namespace {
@@ -74,7 +75,8 @@ void sandwich(const char* title, bool with_bs, std::ostream& os) {
 
 }  // namespace
 
-int main() {
+int run_program(int argc, char** argv) {
+  util::Flags(argc, argv, {});  // takes no flags; rejects unknown ones
   std::cout << "=== extension: cut-set upper bound vs achieved rate ===\n\n";
   sandwich("pure ad hoc (alpha = 0.3, no BSs): Lemma 4 / Theorem 3", false,
            std::cout);
@@ -84,4 +86,8 @@ int main() {
             << "isolation, H-V detours, TDMA duty cycles) — both sides\n"
             << "scale identically, which is all a Theta statement needs.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return manetcap::util::run_main(argc, argv, run_program);
 }

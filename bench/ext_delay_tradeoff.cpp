@@ -11,6 +11,7 @@
 #include "net/traffic.h"
 #include "rng/rng.h"
 #include "sim/slotsim.h"
+#include "util/flags.h"
 #include "util/table.h"
 
 namespace {
@@ -35,7 +36,8 @@ sim::SlotSimResult run_case(const net::ScalingParams& p,
 
 }  // namespace
 
-int main() {
+int run_program(int argc, char** argv) {
+  util::Flags(argc, argv, {});  // takes no flags; rejects unknown ones
   std::cout << "=== extension: capacity vs delay per architecture ===\n"
             << "slot simulator, saturated sources; delay = injection slot\n"
             << "to delivery slot over the measurement window.\n\n";
@@ -93,4 +95,8 @@ int main() {
       << "  * scheme B delay stays roughly flat in n (uplink wait + wire\n"
       << "    + downlink wait), the constant-delay claim of Li et al. [9].\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return manetcap::util::run_main(argc, argv, run_program);
 }

@@ -10,10 +10,12 @@
 #include "net/traffic.h"
 #include "routing/l_hop.h"
 #include "rng/rng.h"
+#include "util/flags.h"
 #include "util/table.h"
 
-int main() {
+int run_program(int argc, char** argv) {
   using namespace manetcap;
+  util::Flags(argc, argv, {});  // takes no flags; rejects unknown ones
   std::cout << "=== extension: L-maximum-hop hybrid allocation ===\n"
             << "n = 8192, alpha = 0.3, phi = 0, even channel split\n\n";
 
@@ -62,4 +64,8 @@ int main() {
       << "from one extreme to the other as k = n^K grows — exactly the\n"
       << "mobility-dominant vs infrastructure-dominant split of Fig. 3.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return manetcap::util::run_main(argc, argv, run_program);
 }

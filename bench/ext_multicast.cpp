@@ -12,10 +12,12 @@
 #include "net/network.h"
 #include "routing/multicast.h"
 #include "rng/rng.h"
+#include "util/flags.h"
 #include "util/table.h"
 
-int main() {
+int run_program(int argc, char** argv) {
   using namespace manetcap;
+  util::Flags(argc, argv, {});  // takes no flags; rejects unknown ones
   std::cout << "=== extension: multicast (1 source -> g destinations) ===\n"
             << "n = 8192, alpha = 0.3; scheme A trees vs g-fold unicast,\n"
             << "and infrastructure multicast (K = 0.7, phi = 0).\n\n";
@@ -78,4 +80,8 @@ int main() {
       << "groups the infrastructure advantage over ad hoc multicast is\n"
       << "even larger than in the unicast Fig. 3 comparison.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return manetcap::util::run_main(argc, argv, run_program);
 }

@@ -57,7 +57,7 @@ bool bits_equal(double a, double b) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run_program(int argc, char** argv) {
   const util::Flags flags(argc, argv, {"smoke", "check", "n"});
   const bool smoke = flags.get_bool("smoke", false);
   const bool check = flags.get_bool("check", false);
@@ -187,4 +187,8 @@ int main(int argc, char** argv) {
             << (ok ? "all gates pass" : "violations above (not gated)")
             << "\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return manetcap::util::run_main(argc, argv, run_program);
 }

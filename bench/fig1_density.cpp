@@ -61,7 +61,7 @@ void render_panel(const Panel& panel, util::Table* summary) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run_program(int argc, char** argv) {
   const util::Flags flags(argc, argv, {"threads"});
   const auto num_threads =
       flags.get_count("threads", util::ThreadPool::default_num_threads());
@@ -123,4 +123,8 @@ int main(int argc, char** argv) {
   std::cout << "\nDefinition 8 expects bounded contrast in the uniformly\n"
             << "dense cases and divergent contrast otherwise.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return manetcap::util::run_main(argc, argv, run_program);
 }

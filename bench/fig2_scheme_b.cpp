@@ -74,7 +74,7 @@ void draw_instance() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run_program(int argc, char** argv) {
   const util::Flags flags(argc, argv, {"threads"});
   const auto num_threads =
       flags.get_count("threads", util::ThreadPool::default_num_threads());
@@ -133,4 +133,8 @@ int main(int argc, char** argv) {
       << "phase binds and lambda saturates at Theta(k/n) — the min() in\n"
       << "Theorems 5/7/9 and the phi = 0 balance point.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return manetcap::util::run_main(argc, argv, run_program);
 }

@@ -21,12 +21,12 @@ namespace {
 using namespace manetcap;
 
 void print_panel(double phi) {
-  auto d = capacity::compute_phase_diagram(phi, 11, 11);
+  auto d = capacity::compute_phase_diagram(phi, 0.0, 11, 11);
   std::cout << capacity::render_ascii(d);
   std::cout << "dominance boundary K(alpha) = 1 - alpha - min(phi,0):";
   for (double alpha : {0.0, 0.25, 0.5})
     std::cout << "  K(" << alpha
-              << ")=" << capacity::dominance_boundary_K(alpha, phi);
+              << ")=" << capacity::dominance_boundary_K(alpha, phi, 0.0);
   std::cout << "\n\nexponent grid (lambda = Theta(n^e)):\n";
   util::Table t(
       {"K \\ alpha", "0.0", "0.1", "0.2", "0.3", "0.4", "0.5"});
@@ -46,7 +46,7 @@ void print_panel(double phi) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run_program(int argc, char** argv) {
   const util::Flags flags(argc, argv, {"threads"});
   const auto num_threads =
       flags.get_count("threads", util::ThreadPool::default_num_threads());
@@ -112,8 +112,9 @@ int main(int argc, char** argv) {
     }
     const double theory =
         std::max(capacity::mobility_exponent(s.alpha),
-                 capacity::infrastructure_exponent(s.K, s.phi));
-    const bool theory_mob = capacity::mobility_dominant(s.alpha, s.K, s.phi);
+                 capacity::infrastructure_exponent(s.K, s.phi, 0.0));
+    const bool theory_mob =
+        capacity::mobility_dominant(s.alpha, s.K, s.phi, 0.0);
     t.add_row({util::fmt_double(s.alpha, 2), util::fmt_double(s.K, 2),
                util::fmt_double(s.phi, 2), util::fmt_double(theory, 3),
                sweep.fit_valid ? util::fmt_double(sweep.fit.exponent, 3)
@@ -123,4 +124,8 @@ int main(int argc, char** argv) {
   }
   t.print(std::cout);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return manetcap::util::run_main(argc, argv, run_program);
 }

@@ -67,7 +67,7 @@ Band band_of(sim::Scheme s) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run_program(int argc, char** argv) {
   const util::Flags flags(argc, argv,
                           {"smoke", "check", "n", "budget"});
   const bool smoke = flags.get_bool("smoke", false);
@@ -187,4 +187,8 @@ int main(int argc, char** argv) {
                                                                "gated)")
             << "\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return manetcap::util::run_main(argc, argv, run_program);
 }

@@ -14,10 +14,12 @@
 #include "net/network.h"
 #include "rng/rng.h"
 #include "sched/sstar.h"
+#include "util/flags.h"
 #include "util/table.h"
 
-int main() {
+int run_program(int argc, char** argv) {
   using namespace manetcap;
+  util::Flags(argc, argv, {});  // takes no flags; rejects unknown ones
   std::cout << "=== Corollary 1: link capacity vs home-point distance ===\n"
             << "population 4096, f = n^0.3; MC = meeting probability over\n"
             << "300k stationary draws; analytic = pi R_T^2 f^2 eta(f d)/S0^2\n\n";
@@ -100,4 +102,8 @@ int main() {
                  "requires.\n";
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return manetcap::util::run_main(argc, argv, run_program);
 }

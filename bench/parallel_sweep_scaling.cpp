@@ -36,7 +36,7 @@ bool identical(const sim::SweepResult& a, const sim::SweepResult& b) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run_program(int argc, char** argv) {
   const util::Flags flags(argc, argv, {"threads"});
   const auto num_threads =
       flags.get_count("threads", util::ThreadPool::default_num_threads());
@@ -88,4 +88,8 @@ int main(int argc, char** argv) {
   std::cout << "\n(speedup tracks the physical core count; on a 1-core\n"
             << "machine both rows time the same serial execution order)\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return manetcap::util::run_main(argc, argv, run_program);
 }

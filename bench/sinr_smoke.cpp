@@ -78,7 +78,7 @@ BackendRun run_backend(const net::Network& net,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run_program(int argc, char** argv) {
   const util::Flags flags(argc, argv,
                           {"smoke", "check", "n", "slots", "budget-ratio"});
   const bool smoke = flags.get_bool("smoke", false);
@@ -176,4 +176,8 @@ int main(int argc, char** argv) {
     return ok ? 0 : 1;
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return manetcap::util::run_main(argc, argv, run_program);
 }

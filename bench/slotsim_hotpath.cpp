@@ -92,7 +92,7 @@ double baseline_speedup(const std::string& path, const std::string& case_name,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run_program(int argc, char** argv) {
   const util::Flags flags(
       argc, argv, {"scheme", "n", "slots", "smoke", "check", "baseline"});
   const bool smoke = flags.get_bool("smoke", false);
@@ -200,4 +200,8 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return manetcap::util::run_main(argc, argv, run_program);
 }

@@ -102,7 +102,7 @@ Leg run_leg(const net::Network& net, const std::vector<std::uint32_t>& dest,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run_program(int argc, char** argv) {
   const util::Flags flags(
       argc, argv, {"n", "shards", "slots", "smoke", "check", "baseline"});
   const bool smoke = flags.get_bool("smoke", false);
@@ -224,4 +224,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return manetcap::util::run_main(argc, argv, run_program);
 }

@@ -94,7 +94,7 @@ int run_trace_overhead_check() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run_program(int argc, char** argv) {
   const util::Flags flags(argc, argv,
                           {"threads", "trace", "trace-overhead-check"});
   if (flags.get_bool("trace-overhead-check", false))
@@ -292,4 +292,8 @@ int main(int argc, char** argv) {
     t2.print(std::cout);
   }
   return traces_ok ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return manetcap::util::run_main(argc, argv, run_program);
 }

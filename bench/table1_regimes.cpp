@@ -65,7 +65,7 @@ net::ScalingParams make(double alpha, bool with_bs, double K, double M,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run_program(int argc, char** argv) {
   const util::Flags flags(argc, argv, {"threads"});
   const auto num_threads =
       flags.get_count("threads", util::ThreadPool::default_num_threads());
@@ -217,4 +217,8 @@ int main(int argc, char** argv) {
   }
   rt.print(std::cout);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return manetcap::util::run_main(argc, argv, run_program);
 }

@@ -18,7 +18,7 @@
 #include "util/flags.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+int run_program(int argc, char** argv) {
   using namespace manetcap;
   util::Flags flags(argc, argv, {"n"});
   const std::size_t n = flags.get_count("n", 8192);
@@ -88,4 +88,8 @@ int main(int argc, char** argv) {
       << "    architecture changes to cellular TDMA (scheme C) — same\n"
       << "    rate, different system (the paper's closing observation).\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return manetcap::util::run_main(argc, argv, run_program);
 }

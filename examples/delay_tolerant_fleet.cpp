@@ -16,7 +16,7 @@
 #include "util/flags.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+int run_program(int argc, char** argv) {
   using namespace manetcap;
   util::Flags flags(argc, argv, {"n", "slots"});
   const std::size_t n = flags.get_count("n", 512);
@@ -90,4 +90,8 @@ int main(int argc, char** argv) {
       << "    the wires at Theta(min(k^2 c/n, k/n)) regardless of "
          "distance.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return manetcap::util::run_main(argc, argv, run_program);
 }

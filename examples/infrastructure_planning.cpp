@@ -25,7 +25,7 @@
 #include "util/flags.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+int run_program(int argc, char** argv) {
   using namespace manetcap;
   util::Flags flags(argc, argv, {"n", "alpha", "target"});
   net::ScalingParams p;
@@ -106,4 +106,8 @@ int main(int argc, char** argv) {
                  "the target.\n";
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return manetcap::util::run_main(argc, argv, run_program);
 }

@@ -18,7 +18,7 @@
 #include "util/flags.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+int run_program(int argc, char** argv) {
   using namespace manetcap;
   util::Flags flags(argc, argv, {"n", "alpha", "K", "phi", "M", "R"});
 
@@ -87,4 +87,8 @@ int main(int argc, char** argv) {
   std::cout << "\nNext: see bench/ for every table & figure of the paper,\n"
             << "and examples/infrastructure_planning for a design study.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return manetcap::util::run_main(argc, argv, run_program);
 }

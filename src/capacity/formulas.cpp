@@ -8,15 +8,10 @@ namespace manetcap::capacity {
 
 double mobility_exponent(double alpha) { return -alpha; }
 
-double infrastructure_exponent(double K, double phi) {
-  // min(k²c/n, k/n) with k²c = k·µ_c = n^(K+ϕ): the min switches at ϕ = 0.
-  return K + std::min(phi, 0.0) - 1.0;
-}
-
 double infrastructure_exponent(double K, double phi, double L) {
   // min(k·l, k²c, n)/n = n^(min(K+L, K+ϕ, 1) − 1). At L = 0 the antenna
-  // branch K+L = K ≤ 1 absorbs the saturation cap and this reduces to the
-  // 2-arg form.
+  // branch K+L = K ≤ 1 absorbs the saturation cap, and with k²c = k·µ_c =
+  // n^(K+ϕ) the min switches at ϕ = 0.
   return std::min({K + L, K + phi, 1.0}) - 1.0;
 }
 
@@ -41,12 +36,6 @@ std::string to_string(InfraBottleneck b) {
 }
 
 double clustered_no_bs_exponent(double M) { return M / 2.0 - 1.0; }
-
-bool backbone_limited(double phi) { return phi < 0.0; }
-
-bool mobility_dominant(double alpha, double K, double phi) {
-  return mobility_exponent(alpha) > infrastructure_exponent(K, phi);
-}
 
 bool mobility_dominant(double alpha, double K, double phi, double L) {
   return mobility_exponent(alpha) > infrastructure_exponent(K, phi, L);

@@ -16,11 +16,12 @@
 // Exponent: min(K+L, K+ϕ, 1) − 1. At L = 0 (the paper's single-antenna
 // BS) this reduces to the paper's K + min(ϕ, 0) − 1 since K ≤ 1.
 //
-// The single-antenna bottleneck sits in the wired backbone when ϕ < 0 and
-// in the wireless access phase when ϕ ≥ 0, where µ_c = k·c(n) = n^ϕ is the
-// aggregate wired bandwidth per BS. (The paper's prose says the switch is
-// at ϕ = 1; its own capacity expression and Figure 3 put it at ϕ = 0 — see
-// DESIGN.md. We implement ϕ = 0, and bench/ablation_phi measures it.)
+// The single-antenna bottleneck (infrastructure_bottleneck at L = 0) sits
+// in the wired backbone when ϕ < 0 and in the wireless access phase when
+// ϕ ≥ 0, where µ_c = k·c(n) = n^ϕ is the aggregate wired bandwidth per
+// BS. (The paper's prose says the switch is at ϕ = 1; its own capacity
+// expression and Figure 3 put it at ϕ = 0 — see DESIGN.md. We implement
+// ϕ = 0, and bench/ablation_phi measures it.)
 #pragma once
 
 #include <string>
@@ -52,12 +53,9 @@ std::string to_string(InfraBottleneck b);
 /// Exponent of the mobility term Θ(1/f(n)).
 double mobility_exponent(double alpha);
 
-/// Exponent of the single-antenna infrastructure term Θ(min(k²c/n, k/n)).
-/// Equivalent to the 3-arg overload at L = 0.
-double infrastructure_exponent(double K, double phi);
-
 /// Exponent of the generalized infrastructure term Θ(min(k·l, k²c, n)/n)
-/// = min(K+L, K+ϕ, 1) − 1.
+/// = min(K+L, K+ϕ, 1) − 1. The paper's single-antenna term
+/// Θ(min(k²c/n, k/n)) is L = 0: K + min(ϕ, 0) − 1 for K ≤ 1.
 double infrastructure_exponent(double K, double phi, double L);
 
 /// The binding branch of the generalized infrastructure term. Ties prefer
@@ -67,10 +65,6 @@ InfraBottleneck infrastructure_bottleneck(double K, double phi, double L);
 
 /// Exponent of the clustered no-BS capacity Θ(√(m/(n² log m))).
 double clustered_no_bs_exponent(double M);
-
-/// True when the single-antenna infrastructure bottleneck is the wired
-/// backbone (ϕ < 0), false when it is the wireless access phase.
-bool backbone_limited(double phi);
 
 /// The full Table I law for a parameter point (regime classified from the
 /// exponents; set p.with_bs accordingly). In the weak/trivial regimes the
@@ -84,10 +78,8 @@ double capacity_exponent(const net::ScalingParams& p);
 
 /// Whether mobility or infrastructure dominates (Remark 10) for a
 /// strong-mobility point; meaningless in weak/trivial regimes where only
-/// infrastructure carries inter-cluster traffic.
-bool mobility_dominant(double alpha, double K, double phi);
-
-/// Generalized-model overload: antennas shift the access branch to K + L.
+/// infrastructure carries inter-cluster traffic. Antennas shift the access
+/// branch to K + L; the paper's single-antenna BS is L = 0.
 bool mobility_dominant(double alpha, double K, double phi, double L);
 
 }  // namespace manetcap::capacity

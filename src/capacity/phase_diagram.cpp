@@ -16,11 +16,6 @@ const PhasePoint& PhaseDiagram::at(std::size_t ai, std::size_t ki) const {
   return grid[ki * alpha_steps + ai];
 }
 
-PhaseDiagram compute_phase_diagram(double phi, std::size_t alpha_steps,
-                                   std::size_t k_steps) {
-  return compute_phase_diagram(phi, 0.0, alpha_steps, k_steps);
-}
-
 PhaseDiagram compute_phase_diagram(double phi, double L,
                                    std::size_t alpha_steps,
                                    std::size_t k_steps) {
@@ -48,10 +43,6 @@ PhaseDiagram compute_phase_diagram(double phi, double L,
     }
   }
   return d;
-}
-
-double dominance_boundary_K(double alpha, double phi) {
-  return 1.0 - alpha - std::min(phi, 0.0);
 }
 
 double dominance_boundary_K(double alpha, double phi, double L) {

@@ -44,28 +44,19 @@ struct PhaseDiagram {
   const PhasePoint& at(std::size_t ai, std::size_t ki) const;
 };
 
-/// Computes the single-antenna (L = 0) diagram on a uniform grid
-/// α ∈ [0, ½], K ∈ [0, 1] (strong-mobility regime assumed, as in the
-/// figure).
-PhaseDiagram compute_phase_diagram(double phi, std::size_t alpha_steps = 11,
-                                   std::size_t k_steps = 11);
-
-/// Generalized-model overload with l = n^L antennas per BS. No defaulted
-/// trailing parameters — defaults would make `compute_phase_diagram(0.5, 1)`
-/// ambiguous against the legacy 3-arg form.
+/// Computes the diagram for l = n^L antennas per BS (L = 0 is the paper's
+/// single-antenna figure) on a uniform grid α ∈ [0, ½], K ∈ [0, 1]
+/// (strong-mobility regime assumed, as in the figure).
 PhaseDiagram compute_phase_diagram(double phi, double L,
                                    std::size_t alpha_steps,
                                    std::size_t k_steps);
 
 /// The dominance boundary: for each α, the smallest K at which
-/// infrastructure overtakes mobility, i.e. K + min(ϕ,0) − 1 ≥ −α
-/// ⇔ K ≥ 1 − α − min(ϕ, 0). Values above 1 mean mobility dominates for
-/// every admissible K.
-double dominance_boundary_K(double alpha, double phi);
-
-/// Generalized boundary: min(K+L, K+ϕ, 1) − 1 ≥ −α ⇔ K ≥ 1 − α − min(L, ϕ)
-/// (the saturation branch never decides the boundary since −α ≤ 0 with
-/// equality only at α = 0). Reduces to the 2-arg form at L = 0.
+/// infrastructure overtakes mobility, min(K+L, K+ϕ, 1) − 1 ≥ −α
+/// ⇔ K ≥ 1 − α − min(L, ϕ) (the saturation branch never decides the
+/// boundary since −α ≤ 0 with equality only at α = 0). At L = 0 this is the
+/// paper's K ≥ 1 − α − min(ϕ, 0). Values above 1 mean mobility dominates
+/// for every admissible K.
 double dominance_boundary_K(double alpha, double phi, double L);
 
 /// One point of the antenna/backhaul panel at fixed (α, K).

@@ -9,8 +9,6 @@
 
 namespace manetcap::capacity {
 
-double recommended_phi() { return 0.0; }
-
 double recommended_phi(double L, double K) {
   return std::min(L, 1.0 - K);
 }
@@ -19,28 +17,10 @@ double recommended_L(double phi, double K) {
   return std::max(0.0, std::min(phi, 1.0 - K));
 }
 
-double required_K(double target_exponent, double phi) {
-  MANETCAP_CHECK_MSG(target_exponent <= 0.0,
-                     "per-node capacity exponent cannot be positive");
-  return target_exponent + 1.0 - std::min(phi, 0.0);
-}
-
 double required_K(double target_exponent, double phi, double L) {
   MANETCAP_CHECK_MSG(target_exponent <= 0.0,
                      "per-node capacity exponent cannot be positive");
   return target_exponent + 1.0 - std::min(L, phi);
-}
-
-double infrastructure_worthwhile_K(double alpha, double phi) {
-  return 1.0 - alpha - std::min(phi, 0.0);
-}
-
-double infrastructure_worthwhile_K(double alpha, double phi, double L) {
-  return 1.0 - alpha - std::min(L, phi);
-}
-
-bool infrastructure_improves(double alpha, double K, double phi) {
-  return infrastructure_exponent(K, phi) > mobility_exponent(alpha);
 }
 
 bool infrastructure_improves(double alpha, double K, double phi, double L) {

@@ -10,14 +10,12 @@
 
 namespace manetcap::capacity {
 
-/// The order-optimal wired-bandwidth exponent: µ_c = k·c = Θ(1) (ϕ = 0).
-/// Less starves the backbone, more is pure waste (Remark 10 discussion;
-/// the paper's prose says 1, its own formula says 0 — see DESIGN.md).
-double recommended_phi();
-
-/// Generalized model: the smallest ϕ at which the backbone stops binding,
-/// ϕ* = min(L, 1 − K) — more backhaul than the antenna branch (K+L) or the
-/// saturation cap (1) can use is pure waste. Reduces to 0 at L = 0 (K ≤ 1).
+/// The smallest ϕ at which the backbone stops binding, ϕ* = min(L, 1 − K):
+/// more backhaul than the antenna branch (K+L) or the saturation cap (1)
+/// can use is pure waste. At L = 0 (K ≤ 1) this is the paper's order-optimal
+/// µ_c = k·c = Θ(1), ϕ = 0: less starves the backbone (Remark 10
+/// discussion; the paper's prose says 1, its own formula says 0 — see
+/// DESIGN.md).
 double recommended_phi(double L, double K);
 
 /// The smallest L at which the antenna branch stops binding,
@@ -27,26 +25,16 @@ double recommended_phi(double L, double K);
 double recommended_L(double phi, double K);
 
 /// Smallest K such that the infrastructure term reaches a target capacity
-/// exponent e (per λ = Θ(n^e)) at a given ϕ: K = e + 1 − min(ϕ, 0).
-/// Returns a value > 1 when the target is unreachable with k ≤ n.
-double required_K(double target_exponent, double phi);
-
-/// Generalized overload: K = e + 1 − min(L, ϕ). Reduces to the 2-arg form
-/// at L = 0.
+/// exponent e (per λ = Θ(n^e)) at given ϕ and L: K = e + 1 − min(L, ϕ),
+/// the paper's e + 1 − min(ϕ, 0) at L = 0. Returns a value > 1 when the
+/// target is unreachable with k ≤ n. The smallest K at which infrastructure
+/// starts to dominate mobility (the Figure 3 boundary) is
+/// dominance_boundary_K in capacity/phase_diagram.h.
 double required_K(double target_exponent, double phi, double L);
 
-/// Smallest K at which infrastructure starts to dominate mobility for a
-/// given α (the Figure 3 boundary): K = 1 − α − min(ϕ, 0).
-double infrastructure_worthwhile_K(double alpha, double phi);
-
-/// Generalized overload: K = 1 − α − min(L, ϕ).
-double infrastructure_worthwhile_K(double alpha, double phi, double L);
-
-/// True when adding the proposed infrastructure (K, ϕ) would improve the
-/// order of capacity over pure ad hoc operation at network exponent α.
-bool infrastructure_improves(double alpha, double K, double phi);
-
-/// Generalized overload with l = n^L antennas per BS.
+/// True when adding the proposed infrastructure (K, ϕ) with l = n^L
+/// antennas per BS would improve the order of capacity over pure ad hoc
+/// operation at network exponent α.
 bool infrastructure_improves(double alpha, double K, double phi, double L);
 
 /// Per-BS wired bandwidth c(n) realizing ϕ for a concrete instance.

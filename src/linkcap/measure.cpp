@@ -63,14 +63,13 @@ Estimate estimate_meeting_probability_bs(const mobility::Shape& shape,
 std::vector<double> measure_busy_probability(
     mobility::MobilityProcess& process,
     const std::vector<geom::Point>& bs_pos,
-    const sched::SStarScheduler& sstar, std::size_t slots,
-    const phy::InterferenceModel* model) {
+    const sched::SStarScheduler& sstar, std::size_t slots) {
   MANETCAP_CHECK(slots > 0);
   const std::size_t pop = process.size() + bs_pos.size();
   std::vector<std::size_t> busy(pop, 0);
   for (std::size_t t = 0; t < slots; ++t) {
     auto pos = combined_positions(process, bs_pos);
-    for (const auto& pair : sstar.feasible_pairs(pos, nullptr, model)) {
+    for (const auto& pair : sstar.feasible_pairs(pos)) {
       ++busy[pair.tx];
       ++busy[pair.rx];
     }

@@ -41,14 +41,10 @@ Estimate estimate_meeting_probability_bs(const mobility::Shape& shape,
 /// S*-feasible pair, measured over `slots` steps of `process` with the BSs
 /// (static) appended to the population. Result has process.size() +
 /// bs.size() entries (Lemma 3 asserts a constant lower bound for each).
-/// `model`, when non-null and non-protocol, re-evaluates each slot's S*
-/// pair set under that interference backend first (docs/PHY.md) — Lemma 3
-/// is a protocol-model statement, so the SINR measurement quantifies how
-/// much of the busy probability the model swap erodes.
+/// Lemma 3 is a protocol-model statement, so the pairs are S*'s own.
 std::vector<double> measure_busy_probability(
     mobility::MobilityProcess& process,
     const std::vector<geom::Point>& bs_pos,
-    const sched::SStarScheduler& sstar, std::size_t slots,
-    const phy::InterferenceModel* model = nullptr);
+    const sched::SStarScheduler& sstar, std::size_t slots);
 
 }  // namespace manetcap::linkcap

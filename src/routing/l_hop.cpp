@@ -23,7 +23,7 @@ LMaxHopResult LMaxHop::evaluate(const net::Network& net,
   LMaxHopResult res;
 
   // Classify flows by squarelet hop distance on the scheme A tessellation.
-  const double side = 0.8 * net.mobility_radius();
+  const double side = SchemeA::kCellSideFactor * net.mobility_radius();
   geom::SquareTessellation tess =
       geom::SquareTessellation::with_cell_side(std::min(side, 1.0));
   std::vector<bool> short_flow(n, false), long_flow(n, false);

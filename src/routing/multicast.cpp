@@ -1,7 +1,6 @@
 #include "routing/multicast.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <unordered_map>
 #include <unordered_set>
@@ -33,11 +32,8 @@ MulticastTraffic multicast_traffic(std::size_t n, std::size_t g,
   return traffic;
 }
 
-MulticastSchemeA::MulticastSchemeA(bool share_tree, double cell_side_factor)
-    : share_tree_(share_tree), cell_side_factor_(cell_side_factor) {
-  MANETCAP_CHECK(cell_side_factor > 0.0 &&
-                 cell_side_factor * std::sqrt(5.0) < 2.0);
-}
+MulticastSchemeA::MulticastSchemeA(bool share_tree)
+    : share_tree_(share_tree) {}
 
 MulticastResult MulticastSchemeA::evaluate(
     const net::Network& net, const MulticastTraffic& traffic) const {
@@ -46,7 +42,7 @@ MulticastResult MulticastSchemeA::evaluate(
   MANETCAP_CHECK(traffic.dests.size() == n);
 
   MulticastResult res;
-  const double side = cell_side_factor_ * net.mobility_radius();
+  const double side = SchemeA::kCellSideFactor * net.mobility_radius();
   geom::SquareTessellation tess =
       geom::SquareTessellation::with_cell_side(std::min(side, 1.0));
   if (tess.cells_per_side() < SchemeA::kMinGrid) {

@@ -51,15 +51,13 @@ struct MulticastResult {
 /// `share_tree` is false — the baseline).
 class MulticastSchemeA {
  public:
-  explicit MulticastSchemeA(bool share_tree = true,
-                            double cell_side_factor = 0.8);
+  explicit MulticastSchemeA(bool share_tree = true);
 
   MulticastResult evaluate(const net::Network& net,
                            const MulticastTraffic& traffic) const;
 
  private:
   bool share_tree_;
-  double cell_side_factor_;
 };
 
 /// Scheme B multicast: one uplink, wired fan-out, g downlinks.

@@ -12,15 +12,6 @@
 
 namespace manetcap::routing {
 
-SchemeA::SchemeA(double cell_side_factor)
-    : cell_side_factor_(cell_side_factor) {
-  MANETCAP_CHECK(cell_side_factor > 0.0);
-  // Adjacent squarelets must stay within the MS–MS contact range 2D/f:
-  // the worst-case home distance across a 4-adjacency is √5·side.
-  MANETCAP_CHECK_MSG(cell_side_factor * std::sqrt(5.0) < 2.0,
-                     "cell side too large: adjacent cells out of contact");
-}
-
 SchemeAResult SchemeA::evaluate(const net::Network& net,
                                 const std::vector<std::uint32_t>& dest,
                                 const std::vector<bool>* include_flow,
@@ -37,7 +28,7 @@ SchemeAResult SchemeA::evaluate(const net::Network& net,
   if (rates != nullptr) rates->reset(n);
 
   SchemeAResult res;
-  const double side = cell_side_factor_ * net.mobility_radius();
+  const double side = kCellSideFactor * net.mobility_radius();
   geom::SquareTessellation tess = geom::SquareTessellation::with_cell_side(
       std::min(side, 1.0));
   res.grid_side = tess.cells_per_side();

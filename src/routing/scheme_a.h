@@ -39,11 +39,6 @@ struct SchemeAResult {
 
 class SchemeA {
  public:
-  /// `cell_side_factor` scales the squarelet side relative to the mobility
-  /// radius D/f; must keep adjacent-cell home-points within the 2D/f
-  /// contact range (the default 0.8 gives worst-case √5·0.8 < 2).
-  explicit SchemeA(double cell_side_factor = 0.8);
-
   /// Fluid per-node capacity of scheme A for permutation traffic `dest`.
   /// `include_flow` (optional, size n) restricts the evaluation to a
   /// subset of flows — hybrid allocations (L-max-hop, scheme A ∥ B) route
@@ -60,8 +55,13 @@ class SchemeA {
   /// Minimum grid side below which the scheme is declared degenerate.
   static constexpr int kMinGrid = 4;
 
- private:
-  double cell_side_factor_;
+  /// Squarelet side relative to the mobility radius D/f, shared by every
+  /// squarelet tessellation (unicast, multicast, L-max-hop, SlotSim).
+  static constexpr double kCellSideFactor = 0.8;
+  // Adjacent squarelets must stay within the MS–MS contact range 2D/f: the
+  // worst-case home distance across a 4-adjacency is √5·side.
+  static_assert(kCellSideFactor * kCellSideFactor * 5.0 < 4.0,
+                "cell side too large: adjacent cells out of contact");
 };
 
 }  // namespace manetcap::routing

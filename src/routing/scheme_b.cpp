@@ -21,8 +21,7 @@ int squarelet_grid_side(std::size_t k) {
 }
 }  // namespace
 
-SchemeB::SchemeB(BsGrouping grouping, bool strict_coverage)
-    : grouping_(grouping), strict_coverage_(strict_coverage) {}
+SchemeB::SchemeB(BsGrouping grouping) : grouping_(grouping) {}
 
 SchemeBResult SchemeB::evaluate(const net::Network& net,
                                 const std::vector<std::uint32_t>& dest,
@@ -93,7 +92,7 @@ SchemeBResult SchemeB::evaluate(const net::Network& net,
   }
   flow::ConstraintSet cs;
   constexpr std::uint32_t kNoCid = ~std::uint32_t{0};
-  std::vector<std::uint32_t> ms_row_cid;  // per-MS access (or coverage) row
+  std::vector<std::uint32_t> ms_row_cid;  // per-MS access row
   std::vector<std::uint32_t> bs_row_cid;  // per-BS aggregate access row
   if (rates != nullptr) {
     ms_row_cid.assign(n, kNoCid);
@@ -103,15 +102,7 @@ SchemeBResult SchemeB::evaluate(const net::Network& net,
   double sum_access = 0.0;
   for (std::uint32_t i = 0; i < n; ++i) {
     if (access[i] <= 0.0) {
-      if (ms_demand[i] > 0.0) {
-        ++res.unreachable_ms;
-        if (strict_coverage_) {
-          if (rates != nullptr)
-            ms_row_cid[i] = static_cast<std::uint32_t>(cs.size());
-          cs.add(flow::Resource::kAccess, 0.0, ms_demand[i],
-                 "unreachable MS");
-        }
-      }
+      if (ms_demand[i] > 0.0) ++res.unreachable_ms;
       continue;
     }
     min_access = std::min(min_access, access[i]);

@@ -48,13 +48,11 @@ struct SchemeBResult {
 
 class SchemeB {
  public:
-  /// With `strict_coverage` (default off) an MS without any BS in wireless
-  /// contact zeroes the scheme's throughput. Off, such MSs are excluded
-  /// from the scheme and only counted — in the strong regime the hybrid
-  /// operation hands their flows to scheme A, and their count k/f² → ∞
-  /// means the fraction vanishes as n grows.
-  explicit SchemeB(BsGrouping grouping = BsGrouping::kSquarelet,
-                   bool strict_coverage = false);
+  /// An MS without any BS in wireless contact is excluded from the scheme
+  /// and only counted (unreachable_ms) — in the strong regime the hybrid
+  /// operation hands its flows to scheme A, and the fraction of such MSs
+  /// vanishes as n grows (k/f² → ∞).
+  explicit SchemeB(BsGrouping grouping = BsGrouping::kSquarelet);
 
   /// Fluid per-node capacity of scheme B for permutation traffic `dest`.
   /// Requires net.num_bs() ≥ 1. `include_flow` (optional, size n)
@@ -71,7 +69,6 @@ class SchemeB {
 
  private:
   BsGrouping grouping_;
-  bool strict_coverage_;
 };
 
 }  // namespace manetcap::routing

@@ -19,13 +19,12 @@ double SStarScheduler::range_for(std::size_t population) const {
 }
 
 std::vector<phy::Transmission> SStarScheduler::feasible_pairs(
-    const std::vector<geom::Point>& pos, ScheduleStats* stats,
-    const phy::InterferenceModel* model) const {
+    const std::vector<geom::Point>& pos) const {
   const double guard = (1.0 + delta_) * range_for(pos.size());
   geom::SpatialHash hash(guard, pos.size());
   hash.build(pos);
   Workspace ws;
-  feasible_pairs_into(pos, hash, ws, stats, model);
+  feasible_pairs_into(pos, hash, ws);
   return std::move(ws.pairs);
 }
 

@@ -21,9 +21,10 @@
 namespace manetcap::sched {
 
 /// Per-invocation scheduling statistics, filled when a caller passes a
-/// non-null pointer to feasible_pairs(). The slot simulator folds these
-/// into its sim::Metrics audit (this POD keeps sched free of a dependency
-/// on the sim layer); the increments are cheap enough to be always-on.
+/// non-null pointer to feasible_pairs_into() or extract_pairs(). The slot
+/// simulator folds these into its sim::Metrics audit (this POD keeps sched
+/// free of a dependency on the sim layer); the increments are cheap enough
+/// to be always-on.
 struct ScheduleStats {
   std::uint64_t candidate_pairs = 0;  // mutual-lone pairs before range check
   std::uint64_t feasible_pairs = 0;   // pairs actually scheduled (after the
@@ -56,23 +57,22 @@ class SStarScheduler {
   double range_for(std::size_t population) const;
 
   /// All feasible unordered pairs {i, j} at this instant, reported with
-  /// i < j. `pos` holds every node (MSs and BSs alike — Definition 10
-  /// ranges over the whole population). `stats`, when non-null, receives
-  /// the candidate/feasible/rejected pair counts for this snapshot.
-  /// `model`, when non-null and non-protocol, re-evaluates the S* pair
-  /// set under that interference backend (docs/PHY.md) — the surviving
-  /// subset, in the same order, is returned. Null or the protocol backend
-  /// takes exactly the historical code path. Builds a spatial hash over
-  /// `pos` and runs feasible_pairs_into.
+  /// i < j, under the protocol model. `pos` holds every node (MSs and BSs
+  /// alike — Definition 10 ranges over the whole population). Builds a
+  /// spatial hash over `pos` and runs feasible_pairs_into.
   std::vector<phy::Transmission> feasible_pairs(
-      const std::vector<geom::Point>& pos, ScheduleStats* stats = nullptr,
-      const phy::InterferenceModel* model = nullptr) const;
+      const std::vector<geom::Point>& pos) const;
 
   /// Hot-path form: reuses both an externally maintained spatial hash over
-  /// `pos` and the caller's Workspace. Returns ws.pairs by reference; the
-  /// pair set and order are identical to feasible_pairs(). Zero
-  /// allocations at steady state. It is the three phases below with one
-  /// stripe covering every bucket row.
+  /// `pos` and the caller's Workspace. Returns ws.pairs by reference; with
+  /// no model the pair set and order are identical to feasible_pairs().
+  /// `stats`, when non-null, receives the candidate/feasible/rejected pair
+  /// counts for this snapshot. `model`, when non-null and non-protocol,
+  /// re-evaluates the S* pair set under that interference backend
+  /// (docs/PHY.md) — the surviving subset, in the same order, is returned.
+  /// Null or the protocol backend takes exactly the protocol code path.
+  /// Zero allocations at steady state. It is the three phases below with
+  /// one stripe covering every bucket row.
   const std::vector<phy::Transmission>& feasible_pairs_into(
       const std::vector<geom::Point>& pos, const geom::SpatialHash& hash,
       Workspace& ws, ScheduleStats* stats = nullptr,

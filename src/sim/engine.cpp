@@ -44,9 +44,9 @@ net::BsPlacement engine_placement(const net::ScalingParams& params,
 }
 
 double sinr_survival_ratio(const net::Network& net, phy::PhyKind kind,
-                           const phy::SinrParams& sinr, std::uint64_t seed,
-                           std::size_t snapshots) {
-  if (kind == phy::PhyKind::kProtocol || snapshots == 0) return 1.0;
+                           const phy::SinrParams& sinr, std::uint64_t seed) {
+  constexpr std::size_t kSnapshots = 32;
+  if (kind == phy::PhyKind::kProtocol) return 1.0;
   const SlotSimOptions defaults;  // canonical ct / Δ shared by both engines
   const auto model = phy::make_interference_model(kind, defaults.delta, sinr);
   sched::SStarScheduler sstar(defaults.ct, defaults.delta);
@@ -56,7 +56,7 @@ double sinr_survival_ratio(const net::Network& net, phy::PhyKind kind,
   phy::InterferenceModel::Workspace phyws;
   std::uint64_t total = 0;
   std::uint64_t kept = 0;
-  for (std::size_t s = 0; s < snapshots; ++s) {
+  for (std::size_t s = 0; s < kSnapshots; ++s) {
     std::vector<geom::Point> pos = process.positions();
     pos.insert(pos.end(), net.bs_pos().begin(), net.bs_pos().end());
     auto pairs = sstar.feasible_pairs(pos);
@@ -126,7 +126,6 @@ double measure_instance(EngineKind kind, const EvalContext& ctx,
     fopt.faults = opt.faults;
     fopt.grouping = bs_grouping(ctx.params);
     fopt.seed = ctx.seed;
-    fopt.metrics = ctx.metrics;
     // Non-protocol backends derate the fluid engine's wireless capacities
     // by the instance's measured pair-survival ratio (docs/PHY.md).
     // Scheme C runs under the protocol model by design — see
@@ -156,7 +155,6 @@ double measure_instance(EngineKind kind, const EvalContext& ctx,
   sopt.slots = opt.slots;
   sopt.warmup = opt.warmup;
   sopt.seed = ctx.seed;
-  sopt.metrics = ctx.metrics;
   sopt.faults = opt.faults;
   // Scheme C is TDMA-scheduled (no per-slot S* geometry), so the engine
   // layer pins it to the protocol model rather than letting SlotSim reject

@@ -66,13 +66,12 @@ struct EngineOptions : RunConfig {
 
 /// Monte-Carlo S*-pair survival ratio of one instance under a
 /// non-protocol backend: the fraction of S*-scheduled pairs whose two
-/// directions both clear β, over `snapshots` i.i.d. mobility snapshots.
+/// directions both clear β, over 32 i.i.d. mobility snapshots.
 /// This is the factor the fluid engine derates its wireless capacities by
 /// (wires are unaffected — FlowSimOptions::bandwidth_share semantics).
 /// Deterministic in (net, seed); 1.0 for the protocol backend.
 double sinr_survival_ratio(const net::Network& net, phy::PhyKind kind,
-                           const phy::SinrParams& sinr, std::uint64_t seed,
-                           std::size_t snapshots = 32);
+                           const phy::SinrParams& sinr, std::uint64_t seed);
 
 /// FlowSim under a wireless pair-survival ratio `survival` (see
 /// sinr_survival_ratio): schemes A and B carry it as their
@@ -91,8 +90,7 @@ net::BsPlacement engine_placement(const net::ScalingParams& params,
 /// Builds the instance for `ctx` and measures its mean per-flow rate
 /// (packets/slot) under the chosen engine, with the regime's scheme
 /// (select_scheme; the strong hybrid sums A and B on the fluid engine).
-/// kAuto resolves per instance (resolve_engine). ctx.metrics (when set)
-/// receives the engine's audit counters.
+/// kAuto resolves per instance (resolve_engine).
 double measure_instance(EngineKind kind, const EvalContext& ctx,
                         const EngineOptions& opt);
 

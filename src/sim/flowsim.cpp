@@ -17,6 +17,9 @@ namespace {
 // Rate/credit update granularity, in slots.
 constexpr std::size_t kEpochSlots = 64;
 
+// Water-filling rounds after the initial TDMA share.
+constexpr std::size_t kMaxMinRounds = 4;
+
 template <class T>
 std::uint64_t vec_bytes(const std::vector<T>& v) {
   return v.capacity() * sizeof(T);
@@ -40,15 +43,14 @@ void tdma_shares(const routing::RateStructure& rs, std::vector<double>& r) {
   }
 }
 
-/// Bounded max-min refinement: each round raises every flow by the
-/// largest uniform increment its slackest path allows
+/// Bounded max-min refinement: each of kMaxMinRounds rounds raises every
+/// flow by the largest uniform increment its slackest path allows
 /// (δ_f = min over incident c of slack_c / unit_load_c). The simultaneous
 /// raise stays feasible for the same Σ coeff ≤ load argument as above.
-void water_fill(const routing::RateStructure& rs, std::size_t rounds,
-                std::vector<double>& r) {
+void water_fill(const routing::RateStructure& rs, std::vector<double>& r) {
   const std::size_t n = r.size();
   std::vector<double> usage(rs.constraints.size(), 0.0);
-  for (std::size_t round = 0; round < rounds; ++round) {
+  for (std::size_t round = 0; round < kMaxMinRounds; ++round) {
     std::fill(usage.begin(), usage.end(), 0.0);
     for (std::size_t f = 0; f < n; ++f) {
       if (rs.flow_served[f] == 0) continue;
@@ -137,7 +139,7 @@ FlowSimResult run_flow_sim_impl(const net::Network& net,
 
   Metrics audit;
   if (opt.metrics != nullptr && opt.metrics->series_enabled())
-    audit.enable_series(opt.slots, opt.metrics->series_stride());
+    audit.enable_series(opt.slots);
 
   if (res.degenerate) {
     // Scheme cannot operate at this size: nothing injected, identity holds
@@ -149,7 +151,7 @@ FlowSimResult run_flow_sim_impl(const net::Network& net,
   // --- rate allocation -----------------------------------------------------
   std::vector<double> rate(n, 0.0);
   tdma_shares(rs, rate);
-  if (opt.maxmin_rounds > 0) water_fill(rs, opt.maxmin_rounds, rate);
+  water_fill(rs, rate);
   for (std::size_t f = 0; f < n; ++f)
     if (rs.flow_served[f] != 0) ++res.served_flows;
 

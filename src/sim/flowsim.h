@@ -33,10 +33,6 @@ struct FlowSimOptions {
   Scheme scheme = Scheme::kSchemeA;
   std::size_t slots = 4000;   // simulated horizon, in SlotSim slots
   std::size_t warmup = 400;   // rate measurement starts here
-  /// Water-filling rounds after the initial TDMA share (0 = pure TDMA —
-  /// then min over served flows of the allocated rate equals the
-  /// constraint solver's λ exactly).
-  std::size_t maxmin_rounds = 4;
   double ct = 0.3;     // S* contact threshold (matches SlotSimOptions)
   double delta = 1.0;  // protocol-model guard factor
   double bandwidth_share = 1.0;

@@ -1,6 +1,7 @@
 #include "sim/fluid.h"
 
 #include "net/traffic.h"
+#include "sim/engine.h"
 #include "sim/sweep.h"
 
 namespace manetcap::sim {
@@ -27,8 +28,11 @@ const char* selected_note(Scheme s) {
 
 FluidOutcome evaluate_capacity(const net::ScalingParams& params,
                                const FluidOptions& options) {
-  net::Network net = net::Network::build(params, options.shape,
-                                         options.placement, options.seed);
+  const Scheme scheme = options.force ? *options.force : select_scheme(params);
+  net::Network net = net::Network::build(
+      params, mobility::ShapeKind::kUniformDisk,
+      engine_placement(params, scheme == Scheme::kSchemeC, options.placement),
+      options.seed);
   return evaluate_capacity(net, options);
 }
 

@@ -15,7 +15,8 @@
 namespace manetcap::sim {
 
 struct FluidOptions {
-  mobility::ShapeKind shape = mobility::ShapeKind::kUniformDisk;
+  /// BS placement of the sampled instance; scheme C on clusters always
+  /// builds kClusterGrid (sim::engine_placement, as the sweeps do).
   net::BsPlacement placement = net::BsPlacement::kClusteredMatched;
   std::uint64_t seed = 1;
 
@@ -41,11 +42,13 @@ struct FluidOutcome {
   std::string scheme;         // human-readable scheme description
 };
 
-/// Samples one instance for `params` and evaluates its fluid capacity.
+/// Samples one instance for `params` (uniform-disk mobility shape) and
+/// evaluates its fluid capacity.
 FluidOutcome evaluate_capacity(const net::ScalingParams& params,
                                const FluidOptions& options);
 
-/// Same, on a pre-built network (placement ablations reuse instances).
+/// Same, on a pre-built network (placement ablations reuse instances;
+/// other mobility shapes enter here). `options.placement` is unused.
 FluidOutcome evaluate_capacity(const net::Network& net,
                                const FluidOptions& options);
 

@@ -106,30 +106,24 @@ class Metrics {
   /// Growth past the cap still works — it just pays amortized push_back.
   static constexpr std::size_t kMaxSeriesReserve = std::size_t{1} << 20;
 
-  /// Turns on per-slot sampling; `reserve_slots` is the caller's horizon
-  /// hint. `stride` keeps every stride-th slot only (sample_slot drops
-  /// slots with slot % stride != 0); the default 1 records every slot —
-  /// byte-identical output to the pre-stride behavior. The reservation is
-  /// horizon/stride, capped at kMaxSeriesReserve.
-  void enable_series(std::size_t reserve_slots, std::size_t stride = 1) {
+  /// Turns on per-slot sampling of every slot; `reserve_slots` is the
+  /// caller's horizon hint. The reservation is capped at kMaxSeriesReserve.
+  void enable_series(std::size_t reserve_slots) {
     series_enabled_ = true;
-    series_stride_ = stride == 0 ? 1 : stride;
-    series_.reserve(
-        std::min(reserve_slots / series_stride_ + 1, kMaxSeriesReserve));
+    series_.reserve(std::min(reserve_slots + 1, kMaxSeriesReserve));
   }
   bool series_enabled() const { return series_enabled_; }
-  std::size_t series_stride() const { return series_stride_; }
 
   void sample_slot(std::uint32_t slot, std::uint64_t queued,
                    std::uint32_t scheduled_pairs, std::uint32_t active_cells,
                    std::uint32_t live_bs = 0) {
-    if (!series_enabled_ || slot % series_stride_ != 0) return;
+    if (!series_enabled_) return;
     series_.push_back({slot, queued, scheduled_pairs, active_cells, live_bs});
   }
   const std::vector<SlotSample>& series() const { return series_; }
 
   /// Checkpoint support: walks the counters, then the recorded series
-  /// (the stride and enabled flag come from enable_series). Reading
+  /// (the enabled flag comes from enable_series). Reading
   /// replaces both and rejects more than `max_samples` samples.
   void walk_state(util::binio::Walker& w, std::size_t max_samples) {
     for (std::uint64_t& c : counters_) w.varint(c);
@@ -163,7 +157,6 @@ class Metrics {
  private:
   std::array<std::uint64_t, kNumCounters> counters_{};
   bool series_enabled_ = false;
-  std::size_t series_stride_ = 1;
   std::vector<SlotSample> series_;
 };
 

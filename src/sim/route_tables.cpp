@@ -5,6 +5,7 @@
 
 #include "geom/spatial_hash.h"
 #include "linkcap/link_capacity.h"
+#include "routing/scheme_a.h"
 #include "util/check.h"
 
 namespace manetcap::sim {
@@ -13,7 +14,8 @@ SchemeARouteTables build_scheme_a_tables(
     const net::Network& net, const std::vector<std::uint32_t>& dest) {
   SchemeARouteTables t;
   const std::size_t n = net.num_ms();
-  const double side = 0.8 * net.mobility_radius();
+  const double side =
+      routing::SchemeA::kCellSideFactor * net.mobility_radius();
   t.tess = geom::SquareTessellation::with_cell_side(std::min(side, 1.0));
   t.home_cell.resize(n);
   for (std::uint32_t i = 0; i < n; ++i)

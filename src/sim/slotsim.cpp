@@ -220,7 +220,7 @@ class SlotSim {
     // conservation check needs the counters even without a caller sink);
     // the caller's Metrics absorbs it at end of run.
     if (opt_.metrics != nullptr && opt_.metrics->series_enabled())
-      audit_.enable_series(opt_.slots, opt_.metrics->series_stride());
+      audit_.enable_series(opt_.slots);
     if (opt_.scheme == Scheme::kSchemeA) init_scheme_a();
     if (opt_.scheme == Scheme::kSchemeB) init_scheme_b();
     if (opt_.scheme == Scheme::kSchemeC) init_scheme_c();

@@ -66,13 +66,9 @@ SweepResult run_sweep(const net::ScalingParams& base,
                                 : options.num_threads;
 
   // Fan-out: every (size, trial) cell is an independent task writing its
-  // own pre-allocated slot (λ and audit registry alike), so the
-  // measurement itself carries no ordering. Per-cell registries exist only
-  // when the caller asked for the aggregate.
-  const bool want_metrics = options.metrics != nullptr;
+  // own pre-allocated slot, so the measurement itself carries no ordering.
   const std::size_t cells = sizes.size() * trials;
   std::vector<double> lambdas(cells, 0.0);
-  std::vector<Metrics> cell_metrics(want_metrics ? cells : 0);
   auto run_cell = [&](std::size_t cell) {
     const std::size_t si = cell / trials;
     const std::size_t t = cell % trials;
@@ -80,7 +76,6 @@ SweepResult run_sweep(const net::ScalingParams& base,
     ctx.params = base;
     ctx.params.n = sizes[si];
     ctx.seed = trial_seed(options.seed0, si, t);
-    ctx.metrics = want_metrics ? &cell_metrics[cell] : nullptr;
     lambdas[cell] = eval(ctx);
   };
   // Longest first: cells start in descending n, stable on index, so the
@@ -106,9 +101,6 @@ SweepResult run_sweep(const net::ScalingParams& base,
 
   // Reduction: serial, fixed order — output is bit-identical to the
   // serial path for any thread count.
-  if (want_metrics) {
-    for (Metrics& m : cell_metrics) options.metrics->absorb(std::move(m));
-  }
   SweepResult result;
   std::vector<double> xs, ys;
   bool all_positive = true;

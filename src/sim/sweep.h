@@ -9,23 +9,16 @@
 
 #include "analysis/loglog_fit.h"
 #include "net/params.h"
-#include "sim/metrics.h"
 
 namespace manetcap::sim {
 
 /// Everything an evaluator gets about its (size, trial) sweep cell.
 ///
 /// `params` is the base parameter set with n overridden to the cell's
-/// size; `seed` is the cell's trial_seed(). `metrics` is non-null exactly
-/// when the sweep was asked to aggregate audit counters
-/// (SweepOptions::metrics) — it then points at a registry private to this
-/// cell (evaluators never share one, so the counters stay race-free under
-/// a multi-threaded sweep); wire it to SlotSimOptions::metrics or ignore
-/// it.
+/// size; `seed` is the cell's trial_seed().
 struct EvalContext {
   net::ScalingParams params;
   std::uint64_t seed = 0;
-  Metrics* metrics = nullptr;
 };
 
 /// Measures one instance: cell context → per-node rate λ. The single
@@ -57,11 +50,6 @@ struct SweepOptions {
   /// a fixed order.
   std::size_t num_threads = 1;
   std::uint64_t seed0 = 1;
-  /// Optional aggregate audit sink for the MetricsEvaluator overload:
-  /// per-cell counters (and any series) are merged into it serially in
-  /// fixed cell order after the fan-out, so the aggregate is bit-identical
-  /// for any num_threads. Ignored by the plain Evaluator overloads.
-  Metrics* metrics = nullptr;
 };
 
 /// Geometrically spaced sizes: n₀·ratioⁱ, i = 0..count−1, deduplicated —
@@ -89,11 +77,9 @@ std::uint64_t traffic_seed(std::uint64_t seed);
 /// options.seed0, for any num_threads. With num_threads != 1 the
 /// evaluator is called concurrently and must be thread-safe (pure
 /// functions of the context are; lambdas mutating captured state need
-/// their own synchronization). When options.metrics is set it receives
-/// the aggregate of every cell's private registry, merged serially in
-/// fixed cell order. Cells start longest first (descending n, stable on
-/// index); when cells throw, the error of the first failing cell in that
-/// order is rethrown, for any num_threads.
+/// their own synchronization). Cells start longest first (descending n,
+/// stable on index); when cells throw, the error of the first failing cell
+/// in that order is rethrown, for any num_threads.
 SweepResult run_sweep(const net::ScalingParams& base,
                       const std::vector<std::size_t>& sizes,
                       std::size_t trials, const SweepEvaluator& eval,

@@ -937,8 +937,9 @@ TraceVerdict verify_trace(const Trace& trace,
                      return a.event_index < b.event_index;
                    });
   verdict.ok = verdict.violations.empty();
-  if (verdict.violations.size() > options.max_violations)
-    verdict.violations.resize(options.max_violations);
+  constexpr std::size_t kMaxViolations = 64;
+  if (verdict.violations.size() > kMaxViolations)
+    verdict.violations.resize(kMaxViolations);
   return verdict;
 }
 

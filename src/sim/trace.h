@@ -201,13 +201,13 @@ struct TraceVerifyOptions {
   /// per-flow results land in pre-allocated slots and are merged serially
   /// in flow order (the run_sweep absorb discipline).
   std::size_t num_threads = 1;
-  /// Cap on reported violations (a corrupted trace can cascade).
-  std::size_t max_violations = 64;
 };
 
 struct TraceVerdict {
   bool ok = true;
-  std::vector<TraceViolation> violations;  // ascending event_index
+  /// Ascending event_index; the first 64 only (a corrupted trace can
+  /// cascade).
+  std::vector<TraceViolation> violations;
   // Replayed totals (entire event stream).
   std::uint64_t injected = 0;
   std::uint64_t delivered = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iostream>
 #include <stdexcept>
 
 namespace manetcap::util {
@@ -114,6 +115,15 @@ bool Flags::get_bool(const std::string& name, bool def) const {
   auto it = values_.find(name);
   if (it == values_.end()) return def;
   return it->second == "true" || it->second == "1" || it->second == "yes";
+}
+
+int run_main(int argc, char** argv, int (*body)(int, char**)) {
+  try {
+    return body(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
+  }
 }
 
 }  // namespace manetcap::util

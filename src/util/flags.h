@@ -1,7 +1,8 @@
 // Tiny command-line flag parser for examples and benches.
 //
 // Supports `--name=value`, `--name value` and boolean `--name` forms; any
-// unknown flag is an error so typos surface immediately.
+// unknown flag is an error so typos surface immediately. run_main turns
+// such an error into the CLI's exit contract.
 #pragma once
 
 #include <cstddef>
@@ -43,5 +44,14 @@ class Flags {
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
 };
+
+/// Runs a program's body and returns its exit code. A std::exception that
+/// escapes the body — a bad or unknown flag included — prints
+/// "error: <what>" to stderr and exits 1, the CLI's contract:
+///
+///   int main(int argc, char** argv) {
+///     return manetcap::util::run_main(argc, argv, run_program);
+///   }
+int run_main(int argc, char** argv, int (*body)(int, char**));
 
 }  // namespace manetcap::util

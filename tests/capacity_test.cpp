@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "capacity/formulas.h"
 #include "capacity/phase_diagram.h"
+#include "capacity/recommend.h"
 #include "capacity/regimes.h"
 #include "util/check.h"
 
@@ -82,20 +84,46 @@ TEST(Formulas, MobilityExponent) {
 }
 
 TEST(Formulas, InfrastructureExponentSwitchesAtPhiZero) {
-  // ϕ ≥ 0: access-limited k/n → K − 1.
-  EXPECT_DOUBLE_EQ(infrastructure_exponent(0.7, 0.0), -0.3);
-  EXPECT_DOUBLE_EQ(infrastructure_exponent(0.7, 0.5), -0.3);
+  // Single-antenna BSs (L = 0). ϕ ≥ 0: access-limited k/n → K − 1.
+  EXPECT_DOUBLE_EQ(infrastructure_exponent(0.7, 0.0, 0.0), -0.3);
+  EXPECT_DOUBLE_EQ(infrastructure_exponent(0.7, 0.5, 0.0), -0.3);
   // ϕ < 0: backbone-limited k²c/n → K + ϕ − 1.
-  EXPECT_DOUBLE_EQ(infrastructure_exponent(0.7, -0.5), -0.8);
-  EXPECT_TRUE(backbone_limited(-0.1));
-  EXPECT_FALSE(backbone_limited(0.0));
+  EXPECT_DOUBLE_EQ(infrastructure_exponent(0.7, -0.5, 0.0), -0.8);
+  EXPECT_EQ(infrastructure_bottleneck(0.7, -0.1, 0.0),
+            InfraBottleneck::kBackbone);
+  EXPECT_NE(infrastructure_bottleneck(0.7, 0.0, 0.0),
+            InfraBottleneck::kBackbone);
+}
+
+// The paper's single-antenna law, written out here, is the generalized law
+// at L = 0 bit for bit on a grid covering K ∈ [0, 1] and ϕ ∈ [−1, 1].
+TEST(Formulas, SingleAntennaLawIsGeneralizedLawAtLZero) {
+  const auto same_bits = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof a) == 0;
+  };
+  for (int i = 0; i <= 100; ++i) {
+    const double K = i / 100.0;
+    for (int j = -100; j <= 100; ++j) {
+      const double phi = j / 100.0;
+      EXPECT_TRUE(same_bits(infrastructure_exponent(K, phi, 0.0),
+                            K + std::min(phi, 0.0) - 1.0))
+          << "K=" << K << " phi=" << phi;
+      // K doubles as α ∈ [0, 1] and −K as the target exponent e ≤ 0.
+      EXPECT_TRUE(same_bits(dominance_boundary_K(K, phi, 0.0),
+                            1.0 - K - std::min(phi, 0.0)))
+          << "alpha=" << K << " phi=" << phi;
+      EXPECT_TRUE(same_bits(required_K(-K, phi, 0.0),
+                            -K + 1.0 - std::min(phi, 0.0)))
+          << "e=" << -K << " phi=" << phi;
+    }
+  }
 }
 
 TEST(Formulas, MobilityDominance) {
   // α = 0.2 vs K = 0.7, ϕ = 0: infra −0.3 < mobility −0.2 → mobility wins.
-  EXPECT_TRUE(mobility_dominant(0.2, 0.7, 0.0));
+  EXPECT_TRUE(mobility_dominant(0.2, 0.7, 0.0, 0.0));
   // K = 0.9: infra −0.1 > −0.2 → infrastructure wins.
-  EXPECT_FALSE(mobility_dominant(0.2, 0.9, 0.0));
+  EXPECT_FALSE(mobility_dominant(0.2, 0.9, 0.0, 0.0));
 }
 
 TEST(Formulas, StrongRegimeLawCombinesBothTerms) {
@@ -140,12 +168,6 @@ TEST(Formulas, GeneralizedInfrastructureExponent) {
   EXPECT_DOUBLE_EQ(infrastructure_exponent(0.6, -0.4, 0.2), -0.8);
   // Saturation: K+L = 1.4 and K+ϕ = 1.3 both exceed 1 → exponent 0.
   EXPECT_DOUBLE_EQ(infrastructure_exponent(0.9, 0.4, 0.5), 0.0);
-  // L = 0 reduces to the paper's 2-arg law on a grid.
-  for (double K : {0.0, 0.3, 0.7, 1.0})
-    for (double phi : {-0.8, -0.2, 0.0, 0.3, 1.0})
-      EXPECT_DOUBLE_EQ(infrastructure_exponent(K, phi, 0.0),
-                       infrastructure_exponent(K, phi))
-          << "K=" << K << " phi=" << phi;
 }
 
 TEST(Formulas, InfrastructureBottleneckBranches) {
@@ -256,7 +278,7 @@ TEST(Formulas, CapacityNeverExceedsConstant) {
 // -------------------------------------------------------- phase diagram --
 
 TEST(PhaseDiagram, GridShapeAndBounds) {
-  auto d = compute_phase_diagram(0.0, 6, 5);
+  auto d = compute_phase_diagram(0.0, 0.0, 6, 5);
   EXPECT_EQ(d.grid.size(), 30u);
   EXPECT_DOUBLE_EQ(d.at(0, 0).alpha, 0.0);
   EXPECT_DOUBLE_EQ(d.at(5, 0).alpha, 0.5);
@@ -265,13 +287,13 @@ TEST(PhaseDiagram, GridShapeAndBounds) {
 
 TEST(PhaseDiagram, FullInfrastructureAlwaysDominatesAtKOne) {
   // K = 1, ϕ ≥ 0: infra exponent 0 ≥ any mobility exponent.
-  auto d = compute_phase_diagram(0.0, 11, 11);
+  auto d = compute_phase_diagram(0.0, 0.0, 11, 11);
   for (std::size_t ai = 0; ai < 11; ++ai)
     EXPECT_FALSE(d.at(ai, 10).mobility_dominant);
 }
 
 TEST(PhaseDiagram, MobilityDominatesSmallK) {
-  auto d = compute_phase_diagram(0.0, 11, 11);
+  auto d = compute_phase_diagram(0.0, 0.0, 11, 11);
   // α = 0.25 (ai=5), K = 0.1 (ki=1): mobility −0.25 > infra −0.9.
   EXPECT_TRUE(d.at(5, 1).mobility_dominant);
 }
@@ -279,20 +301,20 @@ TEST(PhaseDiagram, MobilityDominatesSmallK) {
 TEST(PhaseDiagram, BoundaryMatchesFormula) {
   for (double alpha : {0.0, 0.2, 0.4}) {
     for (double phi : {-0.5, 0.0}) {
-      const double Kb = dominance_boundary_K(alpha, phi);
+      const double Kb = dominance_boundary_K(alpha, phi, 0.0);
       EXPECT_DOUBLE_EQ(Kb, 1.0 - alpha - std::min(phi, 0.0));
       // Just above the boundary infra dominates, just below mobility does.
-      EXPECT_GE(infrastructure_exponent(Kb + 0.01, phi),
+      EXPECT_GE(infrastructure_exponent(Kb + 0.01, phi, 0.0),
                 mobility_exponent(alpha));
-      EXPECT_LT(infrastructure_exponent(Kb - 0.01, phi),
+      EXPECT_LT(infrastructure_exponent(Kb - 0.01, phi, 0.0),
                 mobility_exponent(alpha));
     }
   }
 }
 
 TEST(PhaseDiagram, NegativePhiShrinksInfrastructureRegion) {
-  auto base = compute_phase_diagram(0.0, 11, 11);
-  auto neg = compute_phase_diagram(-0.5, 11, 11);
+  auto base = compute_phase_diagram(0.0, 0.0, 11, 11);
+  auto neg = compute_phase_diagram(-0.5, 0.0, 11, 11);
   std::size_t base_infra = 0, neg_infra = 0;
   for (const auto& p : base.grid)
     if (!p.mobility_dominant) ++base_infra;
@@ -302,7 +324,7 @@ TEST(PhaseDiagram, NegativePhiShrinksInfrastructureRegion) {
 }
 
 TEST(PhaseDiagram, AsciiRenderingHasGridRows) {
-  auto d = compute_phase_diagram(0.0, 11, 5);
+  auto d = compute_phase_diagram(0.0, 0.0, 11, 5);
   const std::string art = render_ascii(d);
   EXPECT_NE(art.find('M'), std::string::npos);
   EXPECT_NE(art.find('I'), std::string::npos);
@@ -326,7 +348,7 @@ TEST(CapacityPhaseDiagramTest, LayoutIsRowMajor) {
 }
 
 TEST(CapacityPhaseDiagramTest, AtChecksBounds) {
-  auto d = compute_phase_diagram(0.0, 5, 3);
+  auto d = compute_phase_diagram(0.0, 0.0, 5, 3);
   EXPECT_THROW(d.at(5, 0), manetcap::CheckError);
   EXPECT_THROW(d.at(0, 3), manetcap::CheckError);
   auto f = compute_frontier_diagram(0.3, 0.7, 5, 3);
@@ -337,8 +359,6 @@ TEST(CapacityPhaseDiagramTest, AtChecksBounds) {
 TEST(PhaseDiagram, GeneralizedBoundaryAndReduction) {
   for (double alpha : {0.0, 0.2, 0.4}) {
     for (double phi : {-0.5, 0.0, 0.5}) {
-      EXPECT_DOUBLE_EQ(dominance_boundary_K(alpha, phi, 0.0),
-                       dominance_boundary_K(alpha, phi));
       for (double L : {0.0, 0.3}) {
         const double Kb = dominance_boundary_K(alpha, phi, L);
         EXPECT_DOUBLE_EQ(Kb, 1.0 - alpha - std::min(L, phi));

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "capacity/cutset.h"
+#include "capacity/phase_diagram.h"
 #include "capacity/recommend.h"
 #include "net/traffic.h"
 #include "rng/rng.h"
@@ -171,24 +172,26 @@ TEST(HopCount, MinimumOneHopPerFlow) {
 // ------------------------------------------------------------- recommend --
 
 TEST(Recommend, PhiZeroIsTheBalance) {
-  EXPECT_DOUBLE_EQ(recommended_phi(), 0.0);
+  // Single-antenna BSs (L = 0): µ_c = Θ(1) for every K ≤ 1.
+  for (double K : {0.0, 0.3, 0.7, 1.0})
+    EXPECT_DOUBLE_EQ(recommended_phi(0.0, K), 0.0) << "K=" << K;
 }
 
 TEST(Recommend, RequiredKInvertsTheLaw) {
   // Target λ = Θ(n^{-0.3}) at ϕ = 0 needs K = 0.7.
-  EXPECT_DOUBLE_EQ(required_K(-0.3, 0.0), 0.7);
+  EXPECT_DOUBLE_EQ(required_K(-0.3, 0.0, 0.0), 0.7);
   // Thin wires (ϕ = −0.2) must be compensated with more BSs.
-  EXPECT_DOUBLE_EQ(required_K(-0.3, -0.2), 0.9);
+  EXPECT_DOUBLE_EQ(required_K(-0.3, -0.2, 0.0), 0.9);
   // Fat wires don't reduce the BS count (access-limited).
-  EXPECT_DOUBLE_EQ(required_K(-0.3, 0.5), 0.7);
-  EXPECT_THROW(required_K(0.1, 0.0), manetcap::CheckError);
+  EXPECT_DOUBLE_EQ(required_K(-0.3, 0.5, 0.0), 0.7);
+  EXPECT_THROW(required_K(0.1, 0.0, 0.0), manetcap::CheckError);
 }
 
 TEST(Recommend, WorthwhileKMatchesPhaseBoundary) {
-  EXPECT_DOUBLE_EQ(infrastructure_worthwhile_K(0.3, 0.0), 0.7);
-  EXPECT_DOUBLE_EQ(infrastructure_worthwhile_K(0.3, -0.5), 1.2);
-  EXPECT_TRUE(infrastructure_improves(0.3, 0.8, 0.0));
-  EXPECT_FALSE(infrastructure_improves(0.3, 0.6, 0.0));
+  EXPECT_DOUBLE_EQ(dominance_boundary_K(0.3, 0.0, 0.0), 0.7);
+  EXPECT_DOUBLE_EQ(dominance_boundary_K(0.3, -0.5, 0.0), 1.2);
+  EXPECT_TRUE(infrastructure_improves(0.3, 0.8, 0.0, 0.0));
+  EXPECT_FALSE(infrastructure_improves(0.3, 0.6, 0.0, 0.0));
 }
 
 TEST(Recommend, WiredBandwidthRealizesPhi) {
@@ -236,17 +239,12 @@ TEST(Recommend, GeneralizedRequiredKAndBoundary) {
   // K = −0.1 + 1 − 0.3 = 0.6 instead of 0.9 at L = 0.
   EXPECT_DOUBLE_EQ(required_K(-0.1, 0.3, 0.0), 0.9);
   EXPECT_DOUBLE_EQ(required_K(-0.1, 0.3, 0.3), 0.6);
-  // Reduction to the 2-arg form at L = 0.
-  for (double e : {-0.5, -0.2})
-    for (double phi : {-0.3, 0.0, 0.4})
-      EXPECT_DOUBLE_EQ(required_K(e, phi, 0.0), required_K(e, phi));
-  EXPECT_DOUBLE_EQ(infrastructure_worthwhile_K(0.3, 0.4, 0.2), 0.5);
+  EXPECT_DOUBLE_EQ(dominance_boundary_K(0.3, 0.4, 0.2), 0.5);
   EXPECT_TRUE(infrastructure_improves(0.3, 0.6, 0.4, 0.2));
   EXPECT_FALSE(infrastructure_improves(0.3, 0.6, 0.4, 0.0));
-  // At the exact boundary K = worthwhile K the exponents tie and
-  // "improves" must be false — consistent with required_K inverting to
-  // the same K.
-  const double Kb = infrastructure_worthwhile_K(0.25, 0.0, 0.0);
+  // At the exact boundary K the exponents tie and "improves" must be
+  // false — consistent with required_K inverting to the same K.
+  const double Kb = dominance_boundary_K(0.25, 0.0, 0.0);
   EXPECT_FALSE(infrastructure_improves(0.25, Kb, 0.0, 0.0));
   EXPECT_DOUBLE_EQ(required_K(-0.25, 0.0, 0.0), Kb);
 }

@@ -197,29 +197,22 @@ TEST(FlowSim, AuditIdentityHoldsForEveryScheme) {
   }
 }
 
-// With water-filling off, the allocation is the pure TDMA share, whose
-// minimum equals the solver λ — and on a wire-free scheme nothing throttles
-// delivery, so the measured minimum rate IS λ (steady state: warmup exceeds
-// every pipeline depth).
-TEST(FlowSim, PureTdmaMinRateEqualsSolverLambda) {
+// The allocation starts from the pure TDMA share, whose minimum equals the
+// solver λ, and water-filling only raises rates — so on a wire-free scheme,
+// where nothing throttles delivery, the measured minimum rate is at least λ
+// (steady state: warmup exceeds every pipeline depth).
+TEST(FlowSim, MinRateIsAtLeastSolverLambda) {
   Instance in = make_instance(strong_params(4096, /*with_bs=*/false),
                               net::BsPlacement::kUniform, 5);
   FlowSimOptions opt;
   opt.scheme = Scheme::kSchemeA;
   opt.slots = 2000;
   opt.warmup = 400;
-  opt.maxmin_rounds = 0;
   const auto r = run_flow_sim(in.net, in.dest, opt);
   ASSERT_FALSE(r.degenerate);
   ASSERT_GT(r.lambda_strict, 0.0);
   EXPECT_EQ(r.served_flows, in.dest.size());
-  EXPECT_NEAR(r.min_flow_rate, r.lambda_strict, 1e-12);
-  // Water-filling only improves rates, and never below the TDMA floor.
-  FlowSimOptions wf = opt;
-  wf.maxmin_rounds = 4;
-  const auto rw = run_flow_sim(in.net, in.dest, wf);
-  EXPECT_GE(rw.mean_flow_rate, r.mean_flow_rate * (1.0 - 1e-12));
-  EXPECT_GE(rw.min_flow_rate, r.min_flow_rate * (1.0 - 1e-12));
+  EXPECT_GE(r.min_flow_rate, r.lambda_strict * (1.0 - 1e-12));
 }
 
 // ---------------------------------------------------- seed unification ----

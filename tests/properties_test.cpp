@@ -180,10 +180,10 @@ TEST(FluidInvariants, CutBoundDominatesEvaluator) {
 
 TEST(PhaseDiagramProperty, ExponentIsMaxOfComponents) {
   for (double phi : {-0.7, 0.0, 0.4}) {
-    auto d = capacity::compute_phase_diagram(phi, 9, 9);
+    auto d = capacity::compute_phase_diagram(phi, 0.0, 9, 9);
     for (const auto& pt : d.grid) {
       const double mob = capacity::mobility_exponent(pt.alpha);
-      const double infra = capacity::infrastructure_exponent(pt.K, phi);
+      const double infra = capacity::infrastructure_exponent(pt.K, phi, 0.0);
       EXPECT_DOUBLE_EQ(pt.exponent, std::max(mob, infra));
       EXPECT_EQ(pt.mobility_dominant, mob > infra);
     }
@@ -191,7 +191,7 @@ TEST(PhaseDiagramProperty, ExponentIsMaxOfComponents) {
 }
 
 TEST(PhaseDiagramProperty, ExponentMonotoneInKAndAlpha) {
-  auto d = capacity::compute_phase_diagram(0.0, 11, 11);
+  auto d = capacity::compute_phase_diagram(0.0, 0.0, 11, 11);
   // Non-decreasing in K (more BSs never hurt), non-increasing in α
   // (larger networks never help).
   for (std::size_t ki = 0; ki + 1 < d.k_steps; ++ki)

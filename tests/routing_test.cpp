@@ -131,11 +131,6 @@ TEST(SchemeA, FailsInClusteredSparseLayout) {
   if (!r.degenerate) EXPECT_DOUBLE_EQ(r.throughput.lambda, 0.0);
 }
 
-TEST(SchemeA, TooLargeCellFactorRejected) {
-  EXPECT_THROW(SchemeA(1.0), manetcap::CheckError);  // √5·1.0 > 2
-  EXPECT_NO_THROW(SchemeA(0.85));
-}
-
 // ------------------------------------------------------------- scheme B --
 
 TEST(SchemeB, PositiveThroughputWithInfrastructure) {

@@ -39,7 +39,7 @@ TEST(Umbrella, EveryLayerReachable) {
   EXPECT_DOUBLE_EQ(cs.solve().lambda, 0.5);
   // capacity
   EXPECT_DOUBLE_EQ(capacity::mobility_exponent(0.3), -0.3);
-  EXPECT_DOUBLE_EQ(capacity::recommended_phi(), 0.0);
+  EXPECT_DOUBLE_EQ(capacity::recommended_phi(0.0, 0.7), 0.0);
   // analysis
   EXPECT_GT(analysis::gupta_kumar_range(100), 0.0);
   // routing + sim types exist

@@ -269,9 +269,8 @@ int cmd_classify(const util::Flags& f) {
             << util::fmt_double(law.rt_exponent, 4) << "\n";
   if (p.with_bs) {
     std::cout << "infra dominance boundary: K >= "
-              << util::fmt_double(capacity::infrastructure_worthwhile_K(
-                                      p.alpha, p.phi, p.L),
-                                  4)
+              << util::fmt_double(
+                     capacity::dominance_boundary_K(p.alpha, p.phi, p.L), 4)
               << " (this network has K = " << p.K << ")\n"
               << "infra bottleneck: "
               << capacity::to_string(
